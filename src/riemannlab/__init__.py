@@ -17,6 +17,7 @@ from .errors import (
     OrientationCheckFailed,
     RiemannLabError,
     TagEscape,
+    TooFewCells,
     UnboundPlan,
     UnknownScenario,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import RiemannLabError
@@ -59,13 +58,6 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
         help="tag rule for evaluation points (default: midpoint)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker cap; 1 forces the sequential reduction (results are "
-        "identical either way: the reduction order is pinned)",
-    )
     parser.add_argument(
         "--csv", default=None, metavar="PATH", help="route the report to a CSV file"
     )
@@ -140,8 +132,6 @@ def spec_from_args(args) -> VariantSpec:
     }[args.selector]
     if not 0.0 <= args.gamma < 1.0:
         raise RiemannLabError(f"--gamma must be in [0,1), got {args.gamma}")
-    if args.threads < 1:
-        raise RiemannLabError("--threads must be >= 1")
     return VariantSpec(
         kind=args.variant,
         schedule=_schedule_from_args(args),

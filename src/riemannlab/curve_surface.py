@@ -2,8 +2,10 @@
 
 Scalar line sums weight f(x(t*)) by ||x'(t*)|| dt, vector line sums dot F
 with x'(t*) dt; surface sums use the normal N = X_u x X_v of a parametrized
-surface, weighting by ||N|| dD (scalar) or N dD (vector). Each comes in the
-same four variants as box quadrature: full, deleted, perturbed, combined.
+surface, weighting by ||N|| dD (scalar) or N dD (vector). This module only
+evaluates those integrands at the parameter tags; the cell measures, the
+four variants (full, deleted, perturbed, combined) and the reduction all
+come from the one kernel, :func:`riemannlab.quadrature.pieces_sum`.
 Partitions always live on the parameter domain, never on the embedded
 curve/surface itself.
 """
@@ -14,29 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNormal, DimensionMismatch
+from .errors import DimensionMismatch
 from .fields import ParametricSurface, Path, ScalarField, VectorField
-from .geometry import DeletionPlan, LargestTerm, Partition, PerturbedPartition
-from .quadrature import FULL, SumEstimate, VariantSpec, _keep_mask, resolve_variant
-from .summation import masked_neumaier_sum, neumaier_sum
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+from .geometry import DeletionPlan, Partition, PerturbedPartition
+from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum
 
 
 @dataclass(frozen=True, eq=False)
 class LineSumConfig:
-    """A path with a 1D parameter partition and optional variant data.
-
-    ``exact_arc`` switches the scalar arc element from the sanctioned
-    approximation ||x'(t*)|| dt to a per-cell Gauss-Legendre arc length, for
-    comparison studies only.
-    """
+    """A path with a 1D parameter partition and optional variant data."""
 
     path: Path
     partition: Partition
     plan: DeletionPlan | None = None
     perturbation: PerturbedPartition | None = None
-    exact_arc: bool = False
 
     def __post_init__(self):
         if self.partition.dim != 1:
@@ -66,61 +59,16 @@ class SurfaceSumConfig:
             raise DimensionMismatch("perturbation must be built from this partition")
 
 
-def _active_widths(cfg) -> np.ndarray:
-    if cfg.perturbation is not None:
-        return cfg.perturbation.measures
-    return cfg.partition.measures
-
-
-def _estimate(cfg, terms: np.ndarray, variant_m: int, mesh: float) -> SumEstimate:
-    deleted = 0
-    if cfg.plan is not None:
-        keep = _keep_mask(cfg.plan, variant_m)
-        value, resid = masked_neumaier_sum(terms, keep)
-        deleted = int(variant_m - keep.sum())
-    else:
-        value, resid = neumaier_sum(terms)
-    symdiff = cfg.perturbation.symdiff_total if cfg.perturbation is not None else 0.0
-    if cfg.plan is not None and cfg.perturbation is not None:
-        variant = "combined"
-    elif cfg.plan is not None:
-        variant = "deleted"
-    elif cfg.perturbation is not None:
-        variant = "perturbed"
-    else:
-        variant = "full"
-    return SumEstimate(value, variant_m, mesh, deleted, symdiff, variant, resid)
-
-
-def _arc_elements(cfg: LineSumConfig) -> np.ndarray:
-    """Exact per-cell arc lengths by 10-point Gauss-Legendre."""
-    if cfg.perturbation is not None:
-        lows = cfg.perturbation.cell_lows[:, 0]
-        highs = cfg.perturbation.cell_highs[:, 0]
-    else:
-        lows = cfg.partition.cell_lows[:, 0]
-        highs = cfg.partition.cell_highs[:, 0]
-    half = (highs - lows) / 2.0
-    mid = (highs + lows) / 2.0
-    total = np.zeros_like(half)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        t = mid + node * half
-        speed = np.sqrt(np.sum(np.asarray(cfg.path.vel(t), float) ** 2, axis=-1))
-        total += weight * speed
-    return total * half
-
-
-def scalar_line_terms(f: ScalarField, cfg: LineSumConfig) -> np.ndarray:
-    """All m terms f(x(t*_k)) ||x'(t*_k)|| dt_k (no deletion applied)."""
-    path = cfg.path
+def _scalar_line_integrand(
+    f: ScalarField, path: Path, partition: Partition
+) -> np.ndarray:
+    """f(x(t*_k)) ||x'(t*_k)|| at the partition tags (no widths applied)."""
     if f.dim != path.codim:
         raise DimensionMismatch(f"field dim {f.dim} != path codomain {path.codim}")
-    t = cfg.partition.tags[:, 0]
+    t = partition.tags[:, 0]
     values = np.asarray(f(path.pos(t)), dtype=float)
-    if cfg.exact_arc:
-        return values * _arc_elements(cfg)
     speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
-    return values * speed * _active_widths(cfg)
+    return values * speed
 
 
 def line_dots(F: VectorField, path: Path, partition: Partition) -> np.ndarray:
@@ -135,17 +83,20 @@ def line_dots(F: VectorField, path: Path, partition: Partition) -> np.ndarray:
 
 def vector_line_terms(F: VectorField, cfg: LineSumConfig) -> np.ndarray:
     """All m terms F(x(t*_k)) . x'(t*_k) dt_k."""
-    return line_dots(F, cfg.path, cfg.partition) * _active_widths(cfg)
+    cells = cfg.partition if cfg.perturbation is None else cfg.perturbation
+    return line_dots(F, cfg.path, cfg.partition) * cells.measures
 
 
-def scalar_surface_terms(f: ScalarField, cfg: SurfaceSumConfig) -> np.ndarray:
-    """All m terms f(X(xi_k)) ||N(xi_k)|| dD_k."""
+def _scalar_surface_integrand(
+    f: ScalarField, surface: ParametricSurface, partition: Partition
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f(X(xi_k)) ||N(xi_k)||, ||N(xi_k)|| == 0) at the partition tags."""
     if f.dim != 3:
         raise DimensionMismatch("scalar surface sums need a field on R^3")
-    xi = cfg.partition.tags
-    norms = np.sqrt(np.sum(cfg.surface.normal(xi) ** 2, axis=-1))
-    values = np.asarray(f(cfg.surface.pos(xi)), dtype=float)
-    return values * norms * _active_widths(cfg)
+    xi = partition.tags
+    norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
+    values = np.asarray(f(surface.pos(xi)), dtype=float)
+    return values * norms, norms == 0.0
 
 
 def surface_dots(
@@ -162,34 +113,37 @@ def surface_dots(
 
 def vector_surface_terms(F: VectorField, cfg: SurfaceSumConfig) -> np.ndarray:
     """All m terms F(X(xi_k)) . N(xi_k) dD_k."""
-    return surface_dots(F, cfg.surface, cfg.partition) * _active_widths(cfg)
+    cells = cfg.partition if cfg.perturbation is None else cfg.perturbation
+    return surface_dots(F, cfg.surface, cfg.partition) * cells.measures
 
 
 def scalar_line_sum(f: ScalarField, cfg: LineSumConfig) -> SumEstimate:
-    terms = scalar_line_terms(f, cfg)
-    return _estimate(cfg, terms, cfg.partition.m, cfg.partition.mesh)
+    return pieces_sum(
+        [_scalar_line_integrand(f, cfg.path, cfg.partition)],
+        [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
+    )
 
 
 def vector_line_sum(F: VectorField, cfg: LineSumConfig) -> SumEstimate:
-    terms = vector_line_terms(F, cfg)
-    return _estimate(cfg, terms, cfg.partition.m, cfg.partition.mesh)
+    return pieces_sum(
+        [line_dots(F, cfg.path, cfg.partition)],
+        [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
+    )
 
 
 def scalar_surface_sum(f: ScalarField, cfg: SurfaceSumConfig) -> SumEstimate:
-    xi = cfg.partition.tags
-    norms = np.sqrt(np.sum(cfg.surface.normal(xi) ** 2, axis=-1))
-    used = np.ones(cfg.partition.m, dtype=bool)
-    if cfg.plan is not None:
-        used = _keep_mask(cfg.plan, cfg.partition.m)
-    if np.any(norms[used] == 0.0):
-        raise DegenerateNormal("surface normal vanishes at a used tag")
-    terms = np.asarray(f(cfg.surface.pos(xi)), dtype=float) * norms * _active_widths(cfg)
-    return _estimate(cfg, terms, cfg.partition.m, cfg.partition.mesh)
+    dots, degenerate = _scalar_surface_integrand(f, cfg.surface, cfg.partition)
+    return pieces_sum(
+        [dots], [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
+        degenerate=degenerate,
+    )
 
 
 def vector_surface_sum(F: VectorField, cfg: SurfaceSumConfig) -> SumEstimate:
-    terms = vector_surface_terms(F, cfg)
-    return _estimate(cfg, terms, cfg.partition.m, cfg.partition.mesh)
+    return pieces_sum(
+        [surface_dots(F, cfg.surface, cfg.partition)],
+        [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
+    )
 
 
 # --- variant-configured entry points -----------------------------------------
@@ -200,26 +154,15 @@ def line_sum(
     path: Path,
     partition: Partition,
     spec: VariantSpec = FULL,
-    exact_arc: bool = False,
 ) -> SumEstimate:
     """Line sum under a variant spec; scalar or vector by field type.
 
     LargestTerm selection ranks the actual |terms| of the unperturbed
     configuration; the jitter and index seeds come from ``spec``.
     """
-    base_cfg = LineSumConfig(path, partition, exact_arc=exact_arc)
-    vector = isinstance(field, VectorField)
-    magnitudes = None
-    if spec.deletes and isinstance(spec.selector, LargestTerm):
-        raw = (
-            vector_line_terms(field, base_cfg)
-            if vector
-            else scalar_line_terms(field, base_cfg)
-        )
-        magnitudes = np.abs(raw)
-    plan, pp = resolve_variant(spec, partition, magnitudes)
-    cfg = LineSumConfig(path, partition, plan, pp, exact_arc)
-    return vector_line_sum(field, cfg) if vector else scalar_line_sum(field, cfg)
+    LineSumConfig(path, partition)  # validates the parameter partition
+    integrand = line_dots if isinstance(field, VectorField) else _scalar_line_integrand
+    return pieces_sum([integrand(field, path, partition)], [partition], spec)
 
 
 def surface_sum(
@@ -229,16 +172,8 @@ def surface_sum(
     spec: VariantSpec = FULL,
 ) -> SumEstimate:
     """Surface sum under a variant spec; scalar or vector by field type."""
-    base_cfg = SurfaceSumConfig(surface, partition)
-    vector = isinstance(field, VectorField)
-    magnitudes = None
-    if spec.deletes and isinstance(spec.selector, LargestTerm):
-        raw = (
-            vector_surface_terms(field, base_cfg)
-            if vector
-            else scalar_surface_terms(field, base_cfg)
-        )
-        magnitudes = np.abs(raw)
-    plan, pp = resolve_variant(spec, partition, magnitudes)
-    cfg = SurfaceSumConfig(surface, partition, plan, pp)
-    return vector_surface_sum(field, cfg) if vector else scalar_surface_sum(field, cfg)
+    SurfaceSumConfig(surface, partition)  # validates the parameter partition
+    if isinstance(field, VectorField):
+        return pieces_sum([surface_dots(field, surface, partition)], [partition], spec)
+    dots, degenerate = _scalar_surface_integrand(field, surface, partition)
+    return pieces_sum([dots], [partition], spec, degenerate=degenerate)

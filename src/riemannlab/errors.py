@@ -25,6 +25,10 @@ class EqualPartitionRequired(RiemannLabError):
     """A vanishing-fraction deletion schedule was bound to a non-equal partition."""
 
 
+class TooFewCells(RiemannLabError, ValueError):
+    """Deletion was requested on fewer than two cells, where no K < m exists."""
+
+
 class UnboundPlan(RiemannLabError):
     """A deletion plan was used before being bound to a partition."""
 

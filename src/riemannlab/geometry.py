@@ -25,6 +25,7 @@ from .errors import (
     EqualPartitionRequired,
     MissingTerms,
     TagEscape,
+    TooFewCells,
 )
 from .summation import neumaier_sum
 
@@ -305,10 +306,12 @@ def apply_perturbation(
         overlaps.append(np.where(unchanged, w0, ov))
     pert_widths = tuple(pert_widths)
 
-    base_meas = p.measures
-    pert_meas = _outer_product(pert_widths)
+    # Only symdiff stays alive through its reduction: holding the perturbed
+    # measures and the overlaps as well would add two m-length arrays to the
+    # peak memory of every perturbed sum.
     overlap = _outer_product(overlaps)
-    symdiff = (base_meas - overlap) + (pert_meas - overlap)
+    symdiff = (p.measures - overlap) + (_outer_product(pert_widths) - overlap)
+    del overlap
     total, _ = neumaier_sum(symdiff)
 
     idx = p.cell_axis_indices
@@ -470,7 +473,7 @@ Selector = Prefix | RandomPick | LargestTerm
 def schedule_count(schedule: Schedule, m: int) -> int:
     """Number of deleted terms for a schedule at cell count ``m`` (>= 2)."""
     if m < 2:
-        raise ValueError("deletion requires at least 2 cells (K < m)")
+        raise TooFewCells("deletion requires at least 2 cells (K < m)")
     if isinstance(schedule, FixedK):
         k = min(schedule.k, m - 1)
     elif isinstance(schedule, PowerLaw):

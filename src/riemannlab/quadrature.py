@@ -1,12 +1,16 @@
-"""The four Riemann-sum variants over boxes.
+"""The variant kernel, and the four Riemann-sum variants over boxes.
 
 full        sum_k f(xi_k) m(I_k)
 deleted     the same sum with a bound deletion plan's indices dropped
 perturbed   base tags with perturbed cell measures m(I~_k)
 combined    perturbed measures and a deletion plan together
 
-Terms are evaluated vectorized and accumulated in ascending cell order with
-compensated summation, so equal inputs give bit-identical estimates.
+:func:`pieces_sum` is the one place these variants are told apart: box,
+region, line, surface and theorem-boundary sums only produce integrands at
+their tags and hand them to it, with the partitions they live on. It
+resolves deletion once over one index space, weights by base or perturbed
+cell measures, and accumulates in ascending cell order with compensated
+summation, so equal inputs give bit-identical estimates.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnboundPlan
+from .errors import DegenerateNormal, DimensionMismatch, UnboundPlan
 from .fields import ParametricRegion, ScalarField
 from .geometry import (
     DeletionPlan,
@@ -30,6 +34,7 @@ from .geometry import (
     Selector,
     bind_deletion,
     perturb,
+    select_indices,
 )
 from .summation import masked_neumaier_sum, neumaier_sum
 
@@ -59,68 +64,33 @@ class SumEstimate:
             raise ValueError("symdiff_total > 0 only for perturbed/combined variants")
 
 
-def _check_dim(f: ScalarField, p: Partition) -> None:
+def _values(f: ScalarField, p: Partition) -> np.ndarray:
+    """The box integrand: f at the tags of ``p``."""
     if f.dim != p.dim:
         raise DimensionMismatch(f"field dim {f.dim} != partition dim {p.dim}")
-
-
-def _keep_mask(plan: DeletionPlan, m: int) -> np.ndarray:
-    if plan.resolved is None:
-        raise UnboundPlan("deletion plan must be bound to the partition first")
-    idx = np.asarray(plan.resolved, dtype=int)
-    if len(idx) == 0 or len(idx) >= m or idx.min() < 0 or idx.max() >= m:
-        raise UnboundPlan(f"resolved index set invalid for m={m}")
-    keep = np.ones(m, dtype=bool)
-    keep[idx] = False
-    return keep
+    return np.asarray(f(p.tags), dtype=float)
 
 
 def riemann_sum(f: ScalarField, p: Partition) -> SumEstimate:
     """Full Riemann sum sigma(f, P, xi) over the tagged partition."""
-    _check_dim(f, p)
-    terms = np.asarray(f(p.tags), dtype=float) * p.measures
-    value, resid = neumaier_sum(terms)
-    return SumEstimate(value, p.m, p.mesh, 0, 0.0, "full", resid)
+    return pieces_sum([_values(f, p)], [p])
 
 
 def deleted_sum(f: ScalarField, p: Partition, plan: DeletionPlan) -> SumEstimate:
     """Incomplete Riemann sum: the bound plan's indices are dropped."""
-    _check_dim(f, p)
-    keep = _keep_mask(plan, p.m)
-    terms = np.asarray(f(p.tags), dtype=float) * p.measures
-    value, resid = masked_neumaier_sum(terms, keep)
-    return SumEstimate(value, p.m, p.mesh, int(p.m - keep.sum()), 0.0, "deleted", resid)
+    return pieces_sum([_values(f, p)], [p], plan=plan)
 
 
 def perturbed_sum(f: ScalarField, pp: PerturbedPartition) -> SumEstimate:
     """Non-Riemann sum: base tags weighted by perturbed measures."""
-    base = pp.base
-    _check_dim(f, base)
-    terms = np.asarray(f(base.tags), dtype=float) * pp.measures
-    value, resid = neumaier_sum(terms)
-    return SumEstimate(
-        value, base.m, base.mesh, 0, pp.symdiff_total, "perturbed", resid
-    )
+    return pieces_sum([_values(f, pp.base)], [pp.base], perturbation=pp)
 
 
 def combined_sum(
     f: ScalarField, pp: PerturbedPartition, plan: DeletionPlan
 ) -> SumEstimate:
     """Deleted indices and perturbed measures together."""
-    base = pp.base
-    _check_dim(f, base)
-    keep = _keep_mask(plan, base.m)
-    terms = np.asarray(f(base.tags), dtype=float) * pp.measures
-    value, resid = masked_neumaier_sum(terms, keep)
-    return SumEstimate(
-        value,
-        base.m,
-        base.mesh,
-        int(base.m - keep.sum()),
-        pp.symdiff_total,
-        "combined",
-        resid,
-    )
+    return pieces_sum([_values(f, pp.base)], [pp.base], plan=plan, perturbation=pp)
 
 
 # --- region integrals via change of variables --------------------------------
@@ -147,18 +117,14 @@ def integrate_region(
     """Apply any sum variant to f over a parametric region.
 
     ``p`` must partition ``region.param_box``; the variant is selected by
-    which of ``plan`` / ``perturbation`` are present.
+    which of ``plan`` / ``perturbation`` are present. A perturbation brings
+    its own base partition, whose tags are then used.
     """
     if p.parent.axes != region.param_box.axes:
         raise DimensionMismatch("partition does not cover the region's parameter box")
     g = region_integrand(f, region)
-    if perturbation is not None and plan is not None:
-        return combined_sum(g, perturbation, plan)
-    if perturbation is not None:
-        return perturbed_sum(g, perturbation)
-    if plan is not None:
-        return deleted_sum(g, p, plan)
-    return riemann_sum(g, p)
+    base = p if perturbation is None else perturbation.base
+    return pieces_sum([_values(g, base)], [base], plan=plan, perturbation=perturbation)
 
 
 # --- variant configuration ---------------------------------------------------
@@ -199,11 +165,88 @@ class VariantSpec:
 FULL = VariantSpec()
 
 
+# --- the variant kernel --------------------------------------------------------
+
+
+def _keep_mask(plan: DeletionPlan, m: int) -> np.ndarray:
+    if plan.resolved is None:
+        raise UnboundPlan("deletion plan must be bound to the partition first")
+    idx = np.asarray(plan.resolved, dtype=int)
+    if len(idx) == 0 or len(idx) >= m or idx.min() < 0 or idx.max() >= m:
+        raise UnboundPlan(f"resolved index set invalid for m={m}")
+    keep = np.ones(m, dtype=bool)
+    keep[idx] = False
+    return keep
+
+
+def _selected(spec: VariantSpec, dots, partitions, m: int) -> tuple[int, ...]:
+    """The indices ``spec`` deletes from the pieces' one index space."""
+    magnitudes = None
+    if isinstance(spec.selector, LargestTerm):
+        base_terms = [d * p.measures for d, p in zip(dots, partitions)]
+        magnitudes = np.abs(np.concatenate(base_terms))
+    if len(partitions) == 1:
+        is_equal = partitions[0].is_equal
+    else:
+        measures = np.concatenate([p.measures for p in partitions])
+        is_equal = bool(np.all(measures == measures[0]))
+    return select_indices(spec.schedule, spec.selector, m, magnitudes, is_equal)
+
+
+def pieces_sum(
+    dots: list[np.ndarray],
+    partitions: list[Partition],
+    spec: VariantSpec = FULL,
+    plan: DeletionPlan | None = None,
+    perturbation: PerturbedPartition | None = None,
+    degenerate: np.ndarray | None = None,
+) -> SumEstimate:
+    """Sum integrand x cell measure over tagged pieces, in any variant.
+
+    ``dots[i]`` is the integrand of piece i at the tags of ``partitions[i]``;
+    the pieces form one index space. A bound ``plan`` and a one-piece
+    ``perturbation`` are used as given; otherwise ``spec`` selects the
+    deleted indices (LargestTerm ranks |integrand x base measure|) and
+    jitters piece i with seed ``spec.seed + i``. Keeping a cell marked
+    ``degenerate`` (vanishing surface normal) raises DegenerateNormal.
+    """
+    m = sum(p.m for p in partitions)
+    if plan is None and spec.deletes:
+        indices = _selected(spec, dots, partitions, m)
+        plan = DeletionPlan(spec.schedule, spec.selector, indices)
+    if perturbation is not None and len(partitions) != 1:
+        raise DimensionMismatch("an explicit perturbation covers exactly one piece")
+    pps = None if perturbation is None else [perturbation]
+    if pps is None and spec.perturbs:
+        pps = [perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)]
+
+    terms = np.concatenate([d * w.measures for d, w in zip(dots, pps or partitions)])
+    # Integrands a caller passed as temporaries are freed here, so they do not
+    # add to the peak memory of the reduction.
+    del dots
+    keep = None if plan is None else _keep_mask(plan, m)
+    if degenerate is not None:
+        if np.any(degenerate if keep is None else degenerate[keep]):
+            raise DegenerateNormal("surface normal vanishes at a used tag")
+    if keep is None:
+        value, resid = neumaier_sum(terms)
+    else:
+        value, resid = masked_neumaier_sum(terms, keep)
+    deleted = 0 if keep is None else int(m - keep.sum())
+    symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)
+    # VARIANTS is ordered full, deleted, perturbed, combined.
+    variant = VARIANTS[(keep is not None) + 2 * (pps is not None)]
+    mesh = max(p.mesh for p in partitions)
+    return SumEstimate(value, m, mesh, deleted, symdiff, variant, resid)
+
+
 def resolve_variant(
     spec: VariantSpec, p: Partition, magnitudes=None
 ) -> tuple[DeletionPlan | None, PerturbedPartition | None]:
-    """Build the bound plan and/or perturbation a spec asks for.
+    """Build the bound plan and/or perturbation a spec asks for on ``p``.
 
+    This is the one-piece resolution :func:`pieces_sum` does itself, as
+    explicit values for callers that check a sum against its inputs.
     ``magnitudes`` (per-cell |term| on the base configuration) is consulted
     only by the LargestTerm selector.
     """
@@ -220,18 +263,7 @@ def resolve_variant(
 
 def variant_sum(f: ScalarField, p: Partition, spec: VariantSpec = FULL) -> SumEstimate:
     """Evaluate the box sum variant described by ``spec``."""
-    _check_dim(f, p)
-    magnitudes = None
-    if spec.deletes and isinstance(spec.selector, LargestTerm):
-        magnitudes = np.abs(np.asarray(f(p.tags), dtype=float) * p.measures)
-    plan, pp = resolve_variant(spec, p, magnitudes)
-    if pp is not None and plan is not None:
-        return combined_sum(f, pp, plan)
-    if pp is not None:
-        return perturbed_sum(f, pp)
-    if plan is not None:
-        return deleted_sum(f, p, plan)
-    return riemann_sum(f, p)
+    return pieces_sum([_values(f, p)], [p], spec)
 
 
 def region_sum(

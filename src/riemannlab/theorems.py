@@ -5,9 +5,9 @@ the identity with independently configured sum variants (independent
 deletion index sets and jitters per side), verifies the declared boundary
 orientation with a probe field, and reports both values plus their gap.
 
-Multi-piece boundaries are treated as one partition: deletion plans bind on
-the concatenated boundary term sequence, and a perturbation jitters every
-piece (with per-piece seeds).
+A multi-piece boundary is one call to the variant kernel,
+:func:`riemannlab.quadrature.pieces_sum`: its pieces share one index space
+for deletion, and a perturbation jitters piece i with seed ``spec.seed + i``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .fields import (
     divergence,
     plane_curl,
 )
-from .geometry import LargestTerm, Partition, perturb, select_indices
-from .quadrature import FULL, SumEstimate, VariantSpec, region_sum
-from .summation import masked_neumaier_sum, neumaier_sum
+from .geometry import Partition
+from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum, region_sum
+from .summation import neumaier_sum  # noqa: F401  (bench/tracing.py wraps this binding)
 
 
 @dataclass(frozen=True)
@@ -73,57 +73,14 @@ def _report(theorem, lhs, rhs, lhs_spec, rhs_spec, reference):
 # --- concatenated boundary sums ----------------------------------------------
 
 
-def _pieces_estimate(dots_list, partitions, spec: VariantSpec) -> SumEstimate:
-    """Variant sum over boundary pieces with one index space.
-
-    ``dots_list[i]`` holds the geometric integrand of piece i at its tags
-    (F . x' for curves, F . N for surfaces); weights are the parameter cell
-    measures, jittered per piece for perturbed/combined variants.
-    """
-    base_w = [p.measures for p in partitions]
-    if spec.perturbs:
-        pps = [
-            perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)
-        ]
-        act_w = [pp.measures for pp in pps]
-        symdiff = sum(pp.symdiff_total for pp in pps)
-    else:
-        act_w = base_w
-        symdiff = 0.0
-
-    terms = np.concatenate([d * w for d, w in zip(dots_list, act_w)])
-    total_m = len(terms)
-    keep = np.ones(total_m, dtype=bool)
-    deleted = 0
-    if spec.deletes:
-        base_terms = np.concatenate([d * w for d, w in zip(dots_list, base_w)])
-        all_meas = np.concatenate(base_w)
-        indices = select_indices(
-            spec.schedule,
-            spec.selector,
-            total_m,
-            terms=np.abs(base_terms) if isinstance(spec.selector, LargestTerm) else None,
-            is_equal=bool(np.all(all_meas == all_meas[0])),
-        )
-        keep[list(indices)] = False
-        deleted = len(indices)
-
-    if deleted:
-        value, resid = masked_neumaier_sum(terms, keep)
-    else:
-        value, resid = neumaier_sum(terms)
-    mesh = max(p.mesh for p in partitions)
-    return SumEstimate(value, total_m, mesh, deleted, symdiff, spec.kind, resid)
-
-
 def _boundary_circulation(F, paths, partitions, spec) -> SumEstimate:
     dots = [line_dots(F, path, part) for path, part in zip(paths, partitions)]
-    return _pieces_estimate(dots, partitions, spec)
+    return pieces_sum(dots, partitions, spec)
 
 
 def _boundary_flux(F, surfaces, partitions, spec) -> SumEstimate:
     dots = [surface_dots(F, surf, part) for surf, part in zip(surfaces, partitions)]
-    return _pieces_estimate(dots, partitions, spec)
+    return pieces_sum(dots, partitions, spec)
 
 
 # --- orientation probes -------------------------------------------------------

@@ -140,8 +140,7 @@ class TestPrintConfig:
         res = invoke(
             "verify", "green.disk.rotation", "--m", "64", "--boundary-m", "256",
             "--variant", "combined", "--k", "3", "--selector", "random",
-            "--gamma", "0.25", "--tags", "corner", "--seed", "42",
-            "--threads", "2", "--print-config",
+            "--gamma", "0.25", "--tags", "corner", "--seed", "42", "--print-config",
         )
         assert res.returncode == 0
         cfg = json.loads(res.stdout)
@@ -151,7 +150,6 @@ class TestPrintConfig:
         assert cfg["variant"] == "combined" and cfg["k"] == 3
         assert cfg["selector"] == "random" and cfg["gamma"] == 0.25
         assert cfg["tags"] == "corner" and cfg["seed"] == 42
-        assert cfg["threads"] == 2
 
     def test_schedule_flag_round_trips(self):
         res = invoke(
@@ -160,6 +158,23 @@ class TestPrintConfig:
         )
         cfg = json.loads(res.stdout)
         assert cfg["k_schedule"] == "pow:0.5" and cfg["k"] is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("integrate", "line.circle.scalar", "--m", "1", "--variant", "deleted"),
+        ("integrate", "box.sinprod.2d", "--m", "1", "--variant", "deleted"),
+        ("converge", "box.sinprod.2d", "--m-list", "1,2,3", "--variant", "deleted"),
+        ("verify", "green.disk.rotation", "--m", "4", "--boundary-m", "1",
+         "--variant", "deleted"),
+    ],
+)
+def test_deleting_from_one_cell_is_usage_error(args):
+    res = invoke(*args)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "at least 2 cells" in res.stderr
 
 
 @pytest.mark.parametrize(

@@ -250,26 +250,6 @@ class TestReparametrization:
         assert abs(straight.value - math.pi) < 1e-3
 
 
-class TestExactArc:
-    def test_exact_arc_beats_tag_approximation(self):
-        # pos = (t^3, 0): speed 3t^2, total arc length 1
-        cubic = Path(
-            domain=(0.0, 1.0),
-            pos=lambda t: np.stack(
-                [np.asarray(t, float) ** 3, np.zeros(np.shape(t))], -1
-            ),
-            vel=lambda t: np.stack(
-                np.broadcast_arrays(3.0 * np.asarray(t, float) ** 2, 0.0), -1
-            ),
-        )
-        f = ScalarField(2, lambda p: np.ones(p.shape[:-1]))
-        p = make_uniform_partition(Box(((0.0, 1.0),)), 16)
-        approx = scalar_line_sum(f, LineSumConfig(cubic, p))
-        exact = scalar_line_sum(f, LineSumConfig(cubic, p, exact_arc=True))
-        assert abs(exact.value - 1.0) < 1e-13
-        assert abs(exact.value - 1.0) < abs(approx.value - 1.0)
-
-
 class TestVariantBounds:
     def test_line_deletion_bound(self):
         # |deleted - full| <= K * M' * max_k (||x'|| dt), M' = max |f| on tags
