@@ -125,6 +125,8 @@ def _schedule_from_args(args):
 
 
 def spec_from_args(args) -> VariantSpec:
+    if args.seed < 0:
+        raise RiemannLabError(f"--seed must be >= 0, got {args.seed}")
     selector = {
         "prefix": Prefix(),
         "random": RandomPick(args.seed),

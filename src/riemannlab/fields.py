@@ -27,16 +27,12 @@ class ScalarField:
 
     ``bound_M``, when given, must dominate |f| on the domain of use; the
     bound-inequality test suites only run for fields that declare it.
-    ``reference_integral`` is an oracle hook: the exact integral over
-    ``reference_box``.
     """
 
     dim: int
     fn: Callable
     grad: Callable | None = None
     bound_M: float | None = None
-    reference_integral: float | None = None
-    reference_box: Box | None = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))

@@ -3,9 +3,12 @@
 This is the combinatorial substrate every sum variant consumes: an
 n-dimensional box is split per axis into strictly increasing breakpoints,
 cells are the Cartesian products of the axis segments (C-order, axis 0
-slowest), and each cell carries one tag point. A perturbed partition keeps
-the same cells-by-index structure but jitters interior breakpoints, and a
-deletion plan names the cell indices a sum should drop.
+slowest), and each cell carries one tag point. All per-cell geometry is
+per-axis: a cell's bounds are its axis segments, and ``Partition.tag_grid``
+lays the tags out on the cell grid so per-axis breakpoints broadcast against
+them. A perturbed partition keeps the same cells-by-index structure but
+jitters interior breakpoints, and a deletion plan names the cell indices a
+sum should drop.
 
 All constructed values are immutable and deterministic: equal inputs
 (including seeds) give bit-identical state.
@@ -55,19 +58,11 @@ class Box:
         return len(self.axes)
 
     @property
-    def lengths(self) -> np.ndarray:
-        return np.array([hi - lo for lo, hi in self.axes])
-
-    @property
     def measure(self) -> float:
         out = 1.0
         for lo, hi in self.axes:
             out *= hi - lo
         return out
-
-    def contains(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.axes))
 
 
 def _grid_stack(per_axis) -> np.ndarray:
@@ -93,7 +88,8 @@ class Partition:
     measures used in all sums; for uniform constructions they are stored as
     the exact common width so equal partitions have bitwise-equal cell
     measures. ``tags`` is (m, dim), one point per cell, inside the closed
-    cell. ``is_equal`` means every cell has the same measure.
+    cell; ``tag_grid`` is the same array viewed as ``counts + (dim,)``.
+    ``is_equal`` means every cell has the same measure.
     """
 
     parent: Box
@@ -127,21 +123,10 @@ class Partition:
         """lambda(P): the largest cell diameter."""
         return float(math.sqrt(sum(float(np.max(w)) ** 2 for w in self.axis_widths)))
 
-    @cached_property
-    def cell_lows(self) -> np.ndarray:
-        return _grid_stack([b[:-1] for b in self.breakpoints])
-
-    @cached_property
-    def cell_highs(self) -> np.ndarray:
-        return _grid_stack([b[1:] for b in self.breakpoints])
-
-    @cached_property
-    def cell_axis_indices(self) -> tuple[np.ndarray, ...]:
-        """Per-axis segment index of each cell (C-order)."""
-        return np.unravel_index(np.arange(self.m), self.counts)
-
-    def cell(self, k: int) -> Box:
-        return Box(tuple(zip(self.cell_lows[k], self.cell_highs[k])))
+    @property
+    def tag_grid(self) -> np.ndarray:
+        """``tags`` on the cell grid: ``tag_grid[i_1, ..., i_n]`` is a tag."""
+        return self.tags.reshape(self.counts + (self.dim,))
 
 
 def _validate_breakpoints(box: Box, breakpoints) -> tuple[np.ndarray, ...]:
@@ -169,6 +154,18 @@ def _check_cell_cap(counts) -> int:
     return m
 
 
+def _escaped_axis(tag_grid: np.ndarray, breakpoints) -> int | None:
+    """First axis on which some tag leaves its closed cell, or None."""
+    for axis, b in enumerate(breakpoints):
+        shape = [1] * len(breakpoints)
+        shape[axis] = -1
+        coord = tag_grid[..., axis]
+        lo, hi = b[:-1].reshape(shape), b[1:].reshape(shape)
+        if not (np.all(coord >= lo) and np.all(coord <= hi)):
+            return axis
+    return None
+
+
 def _make_tags(breakpoints, tag_rule: str, seed: int) -> np.ndarray:
     if tag_rule == "midpoint":
         return _grid_stack([(b[:-1] + b[1:]) / 2.0 for b in breakpoints])
@@ -176,9 +173,9 @@ def _make_tags(breakpoints, tag_rule: str, seed: int) -> np.ndarray:
         return _grid_stack([b[:-1] for b in breakpoints])
     if tag_rule == "random":
         lows = _grid_stack([b[:-1] for b in breakpoints])
-        highs = _grid_stack([b[1:] for b in breakpoints])
+        widths = _grid_stack([np.diff(b) for b in breakpoints])
         rng = np.random.default_rng(seed)
-        return lows + rng.random(lows.shape) * (highs - lows)
+        return lows + rng.random(lows.shape) * widths
     raise ValueError(f"unknown tag rule {tag_rule!r}; expected one of {TAG_RULES}")
 
 
@@ -195,7 +192,8 @@ def make_partition(
     C-order); they must lie inside the closed cells.
     """
     breaks = _validate_breakpoints(box, breakpoints)
-    m = _check_cell_cap(len(b) - 1 for b in breaks)
+    counts = tuple(len(b) - 1 for b in breaks)
+    m = _check_cell_cap(counts)
     widths = tuple(np.diff(b) for b in breaks)
     if tags is None:
         tags = _make_tags(breaks, tag_rule, seed)
@@ -203,9 +201,7 @@ def make_partition(
         tags = np.ascontiguousarray(np.asarray(tags, dtype=float))
         if tags.shape != (m, box.dim):
             raise ValueError(f"tags must have shape ({m}, {box.dim})")
-        lows = _grid_stack([b[:-1] for b in breaks])
-        highs = _grid_stack([b[1:] for b in breaks])
-        if not (np.all(tags >= lows) and np.all(tags <= highs)):
+        if _escaped_axis(tags.reshape(counts + (box.dim,)), breaks) is not None:
             raise ValueError("explicit tags must lie inside their closed cells")
     is_equal = all(bool(np.all(w == w[0])) for w in widths)
     return Partition(box, breaks, widths, tags, is_equal)
@@ -254,34 +250,14 @@ class PerturbedPartition:
     axis_widths: tuple[np.ndarray, ...]
     symdiff: np.ndarray
     symdiff_total: float
-    jitter_amplitude: float
-
-    @property
-    def m(self) -> int:
-        return self.base.m
 
     @cached_property
     def measures(self) -> np.ndarray:
         """Per-cell perturbed measures m(Ĩ_k), C-order."""
         return _outer_product(self.axis_widths)
 
-    @cached_property
-    def mesh(self) -> float:
-        """λ(P̃) of the perturbed family."""
-        return float(math.sqrt(sum(float(np.max(w)) ** 2 for w in self.axis_widths)))
 
-    @cached_property
-    def cell_lows(self) -> np.ndarray:
-        return _grid_stack([b[:-1] for b in self.breakpoints])
-
-    @cached_property
-    def cell_highs(self) -> np.ndarray:
-        return _grid_stack([b[1:] for b in self.breakpoints])
-
-
-def apply_perturbation(
-    p: Partition, breakpoints, jitter_amplitude: float = 0.0
-) -> PerturbedPartition:
+def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
     """Pair ``p`` with explicit perturbed breakpoints (the forced-grid hook).
 
     Endpoints must match the parent box and segment counts must match the
@@ -314,24 +290,10 @@ def apply_perturbation(
     del overlap
     total, _ = neumaier_sum(symdiff)
 
-    idx = p.cell_axis_indices
-    for axis in range(p.dim):
-        coord = p.tags[:, axis]
-        lo = pert[axis][:-1][idx[axis]]
-        hi = pert[axis][1:][idx[axis]]
-        if not (np.all(coord >= lo) and np.all(coord <= hi)):
-            raise TagEscape(
-                f"axis {axis}: a base tag left the base/perturbed intersection"
-            )
-
-    return PerturbedPartition(
-        base=p,
-        breakpoints=pert,
-        axis_widths=pert_widths,
-        symdiff=symdiff,
-        symdiff_total=total,
-        jitter_amplitude=float(jitter_amplitude),
-    )
+    axis = _escaped_axis(p.tag_grid, pert)
+    if axis is not None:
+        raise TagEscape(f"axis {axis}: a base tag left the base/perturbed intersection")
+    return PerturbedPartition(p, pert, pert_widths, symdiff, total)
 
 
 def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
@@ -347,7 +309,7 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
         raise ValueError(f"gamma must be in [0, 1), got {gamma}")
     rng = np.random.default_rng(seed)
     mesh_sq = p.mesh**2
-    idx = p.cell_axis_indices
+    grid = p.tag_grid
 
     new_breaks = []
     for axis, (breaks, widths) in enumerate(zip(p.breakpoints, p.axis_widths)):
@@ -362,12 +324,10 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
         # Slab-wise tag extrema along this axis bound each breakpoint's
         # admissible range; tags live in closed cells, so the range always
         # contains the base breakpoint.
-        coord = p.tags[:, axis]
-        count = len(widths)
-        slab_max = np.full(count, -np.inf)
-        slab_min = np.full(count, np.inf)
-        np.maximum.at(slab_max, idx[axis], coord)
-        np.minimum.at(slab_min, idx[axis], coord)
+        coord = grid[..., axis]
+        others = tuple(a for a in range(p.dim) if a != axis)
+        slab_max = coord.max(axis=others)
+        slab_min = coord.min(axis=others)
 
         lower = np.maximum(interior - h, slab_max[:-1])
         upper = np.minimum(interior + h, slab_min[1:])
@@ -381,7 +341,7 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
             )
         new_breaks.append(b)
 
-    return apply_perturbation(p, tuple(new_breaks), jitter_amplitude=gamma)
+    return apply_perturbation(p, tuple(new_breaks))
 
 
 def reflect_partition(p: Partition) -> Partition:
@@ -394,8 +354,7 @@ def reflect_partition(p: Partition) -> Partition:
     box = Box(tuple((-hi, -lo) for lo, hi in p.parent.axes))
     breaks = tuple(-b[::-1] for b in p.breakpoints)
     widths = tuple(w[::-1].copy() for w in p.axis_widths)
-    grid = p.tags.reshape(p.counts + (p.dim,))
-    tags = -np.flip(grid, axis=tuple(range(p.dim))).reshape(p.m, p.dim)
+    tags = -np.flip(p.tag_grid, axis=tuple(range(p.dim))).reshape(p.m, p.dim)
     return Partition(box, breaks, widths, np.ascontiguousarray(tags), p.is_equal)
 
 
@@ -408,8 +367,7 @@ def swap_axes_partition(p: Partition) -> Partition:
     if p.dim != 2:
         raise DegenerateBox("axis swap is defined for 2D partitions")
     box = Box((p.parent.axes[1], p.parent.axes[0]))
-    grid = p.tags.reshape(p.counts + (2,))
-    tags = grid.transpose(1, 0, 2)[..., ::-1].reshape(p.m, 2)
+    tags = p.tag_grid.transpose(1, 0, 2)[..., ::-1].reshape(p.m, 2)
     return Partition(
         box,
         (p.breakpoints[1], p.breakpoints[0]),

@@ -36,7 +36,7 @@ from .geometry import (
     perturb,
     select_indices,
 )
-from .summation import masked_neumaier_sum, neumaier_sum
+from .summation import neumaier_sum
 
 VARIANTS = ("full", "deleted", "perturbed", "combined")
 
@@ -228,10 +228,7 @@ def pieces_sum(
     if degenerate is not None:
         if np.any(degenerate if keep is None else degenerate[keep]):
             raise DegenerateNormal("surface normal vanishes at a used tag")
-    if keep is None:
-        value, resid = neumaier_sum(terms)
-    else:
-        value, resid = masked_neumaier_sum(terms, keep)
+    value, resid = neumaier_sum(terms if keep is None else terms[keep])
     deleted = 0 if keep is None else int(m - keep.sum())
     symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)
     # VARIANTS is ordered full, deleted, perturbed, combined.

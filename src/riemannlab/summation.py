@@ -28,16 +28,3 @@ def neumaier_sum(values) -> tuple[float, float]:
             c += (x - t) + s
         s = t
     return s + c, c
-
-
-def masked_neumaier_sum(values, keep) -> tuple[float, float]:
-    """Compensated sum of ``values[k]`` for every k with ``keep[k]`` true.
-
-    Ascending-index order over the surviving terms, same contract as
-    :func:`neumaier_sum`.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    keep = np.asarray(keep, dtype=bool).ravel()
-    if values.shape != keep.shape:
-        raise ValueError("values and keep must have identical length")
-    return neumaier_sum(values[keep])

@@ -180,6 +180,24 @@ def test_deleting_from_one_cell_is_usage_error(args):
 @pytest.mark.parametrize(
     "args",
     [
+        ("integrate", "box.sinprod.2d", "--m", "8", "--seed", "-1",
+         "--variant", "perturbed"),
+        ("integrate", "box.sinprod.2d", "--m", "8", "--seed", "-1",
+         "--variant", "perturbed", "--tags", "random"),
+        ("converge", "box.sinprod.2d", "--m-list", "4,8,16", "--seed", "-1",
+         "--variant", "deleted", "--selector", "random"),
+    ],
+)
+def test_negative_seed_is_usage_error(args):
+    res = invoke(*args)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--seed" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("integrate", "box.sinprod.2d", "--m", "32", "--variant", "combined",
          "--k", "3", "--selector", "random", "--gamma", "0.5", "--seed", "9"),
         ("verify", "green.disk.rotation", "--m", "64", "--boundary-m", "4096",

@@ -27,6 +27,8 @@ from riemannlab import (
     schedule_count,
 )
 
+from oracles import unravel
+
 UNIT = Box(((0.0, 1.0),))
 
 
@@ -68,7 +70,7 @@ class TestUniformPartition:
         a = make_uniform_partition(UNIT, 3, tag_rule="random", seed=7)
         b = make_uniform_partition(UNIT, 3, tag_rule="random", seed=7)
         np.testing.assert_array_equal(a.tags, b.tags)
-        lows, highs = a.cell_lows, a.cell_highs
+        lows, highs = a.breakpoints[0][:-1, None], a.breakpoints[0][1:, None]
         assert np.all(a.tags >= lows) and np.all(a.tags <= highs)
 
     def test_count_overflow(self):
@@ -104,6 +106,15 @@ class TestExplicitPartition:
             make_partition(
                 UNIT, [np.array([0.0, 0.5, 1.0])], tags=np.array([[0.6], [0.7]])
             )
+
+    def test_explicit_tag_outside_on_axis_1_refused(self):
+        box = Box(((0.0, 1.0), (0.0, 1.0)))
+        breaks = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0])]
+        tags = np.array([[0.2, 0.1], [0.2, 0.6], [0.7, 0.1], [0.7, 0.6]])
+        make_partition(box, breaks, tags=tags)  # every tag in its cell
+        tags[2, 1] = 0.3  # cell (1, 0) spans [0, 0.25] on axis 1
+        with pytest.raises(ValueError, match="inside their closed cells"):
+            make_partition(box, breaks, tags=tags)
 
     def test_breakpoints_must_span_box(self):
         with pytest.raises(DegenerateBox):
@@ -178,7 +189,7 @@ class TestPerturbation:
                 Box(((0.0, 1.0), (0.0, 2.0))), (5, 4), tag_rule="random", seed=trial
             )
             pp = perturb(p, 0.9, seed=trial + 1)
-            idx = p.cell_axis_indices
+            idx = np.array([unravel(k, p.counts) for k in range(p.m)]).T
             for axis in range(2):
                 coord = p.tags[:, axis]
                 assert np.all(coord >= pp.breakpoints[axis][:-1][idx[axis]])
@@ -188,6 +199,16 @@ class TestPerturbation:
         p = make_uniform_partition(UNIT, 2, tag_rule="corner")  # tags 0.0, 0.5
         with pytest.raises(TagEscape):
             apply_perturbation(p, [np.array([0.0, 0.6, 1.0])])
+
+    def test_tag_escape_names_the_axis_in_3d(self):
+        box = Box(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+        p = make_uniform_partition(box, (2, 3, 4), tag_rule="corner")
+        grid = [b.copy() for b in p.breakpoints]
+        grid[0][1], grid[1][1] = 0.45, 0.3  # moves that keep every tag inside
+        apply_perturbation(p, grid)
+        grid[2][2] = 0.55  # past the corner tags at 0.5 on axis 2
+        with pytest.raises(TagEscape, match="^axis 2:"):
+            apply_perturbation(p, grid)
 
     def test_corner_tags_clamp_to_one_side(self):
         p = make_uniform_partition(UNIT, 4, tag_rule="corner")

@@ -1,11 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riemannlab.summation import masked_neumaier_sum, neumaier_sum
+from riemannlab.summation import neumaier_sum
 
 
 class TestNeumaier:
@@ -41,15 +40,3 @@ class TestNeumaier:
         a = neumaier_sum(values)
         b = neumaier_sum(values)
         assert a == b  # bitwise reproducible, residual included
-
-
-class TestMasked:
-    def test_mask_selects_survivors_in_order(self):
-        values = np.array([1.0, 10.0, 100.0, 1000.0])
-        keep = np.array([True, False, True, False])
-        total, _ = masked_neumaier_sum(values, keep)
-        assert total == 101.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            masked_neumaier_sum([1.0, 2.0], [True])
