@@ -19,9 +19,8 @@ from riemannlab import (
     RandomPick,
     ScalarField,
     bind_deletion,
-    deleted_sum,
     make_uniform_partition,
-    riemann_sum,
+    variant_sum,
 )
 
 f = ScalarField(
@@ -39,12 +38,12 @@ print("fixed K = 16, three index selectors, refining the mesh:")
 print(f"{'m':>10} {'full error':>12} {'prefix':>12} {'random':>12} {'largest':>12}")
 for m_axis in (16, 32, 64, 128, 256):
     p = make_uniform_partition(box, m_axis)
-    full = riemann_sum(f, p)
+    full = variant_sum(f, p)
     row = [abs(full.value - exact)]
     terms = np.abs(f(p.tags) * p.measures)
     for selector in (Prefix(), RandomPick(7), LargestTerm()):
         plan = bind_deletion(DeletionPlan(FixedK(16), selector), p, terms=terms)
-        row.append(abs(deleted_sum(f, p, plan).value - exact))
+        row.append(abs(variant_sum(f, p, plan=plan).value - exact))
     print(f"{p.m:>10} " + " ".join(f"{e:12.3e}" for e in row))
 
 print()
@@ -52,7 +51,7 @@ print("the deletion bound K * M * max m(I_k) always dominates the change:")
 p = make_uniform_partition(box, 64)
 terms = np.abs(f(p.tags) * p.measures)
 plan = bind_deletion(DeletionPlan(FixedK(16), LargestTerm()), p, terms=terms)
-change = abs(deleted_sum(f, p, plan).value - riemann_sum(f, p).value)
+change = abs(variant_sum(f, p, plan=plan).value - variant_sum(f, p).value)
 limit = 16 * f.bound_M * float(np.max(p.measures))
 print(f"  |deleted - full| = {change:.3e} <= {limit:.3e}")
 
@@ -62,6 +61,6 @@ print(f"{'m':>10} {'K(m)':>8} {'K/m':>10} {'error':>12}")
 for m_axis in (16, 64, 256):
     p = make_uniform_partition(box, m_axis)
     plan = bind_deletion(DeletionPlan(PowerLaw(0.5), Prefix()), p)
-    err = abs(deleted_sum(f, p, plan).value - exact)
+    err = abs(variant_sum(f, p, plan=plan).value - exact)
     k = len(plan.resolved)
     print(f"{p.m:>10} {k:>8} {k / p.m:>10.2e} {err:>12.3e}")

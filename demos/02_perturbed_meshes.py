@@ -16,8 +16,7 @@ from riemannlab import (
     apply_perturbation,
     make_uniform_partition,
     perturb,
-    perturbed_sum,
-    riemann_sum,
+    variant_sum,
 )
 
 f = ScalarField(1, lambda p: np.sin(p[..., 0]), bound_M=math.sin(1.0))
@@ -37,8 +36,8 @@ print(f"{'m':>8} {'symdiff_total':>14} {'|pert-full|':>12} {'M*symdiff':>12} {'e
 for m in (10, 100, 1000, 10000):
     p = make_uniform_partition(box, m)
     pp = perturb(p, 0.5, seed=m)
-    full = riemann_sum(f, p)
-    pert = perturbed_sum(f, pp)
+    full = variant_sum(f, p)
+    pert = variant_sum(f, p, perturbation=pp)
     gap = abs(pert.value - full.value)
     print(
         f"{m:>8} {pp.symdiff_total:>14.3e} {gap:>12.3e} "

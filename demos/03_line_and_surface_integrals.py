@@ -11,16 +11,13 @@ import math
 from riemannlab import (
     Box,
     FixedK,
-    LineSumConfig,
     RandomPick,
     VariantSpec,
     line_sum,
     make_uniform_partition,
     reflect_partition,
     reverse_path,
-    scalar_line_sum,
     surface_sum,
-    vector_line_sum,
 )
 from riemannlab.scenarios import (
     CIRCLE_2D,
@@ -37,7 +34,7 @@ circle_box = Box(((0.0, TWO_PI),))
 print("arc length of the unit circle (scalar line sum, f = 1):")
 for m in (16, 64, 256):
     p = make_uniform_partition(circle_box, m)
-    est = scalar_line_sum(UNIT_SPEED_2D, LineSumConfig(CIRCLE_2D, p))
+    est = line_sum(UNIT_SPEED_2D, CIRCLE_2D, p)
     print(f"  m={m:>4}  value={est.value:.12f}  (2*pi = {TWO_PI:.12f})")
 
 print()
@@ -54,10 +51,8 @@ for spec in (
 
 print()
 print("reversing the path negates the circulation term-for-term:")
-fwd = vector_line_sum(ROTATION_2D, LineSumConfig(CIRCLE_2D, p))
-bwd = vector_line_sum(
-    ROTATION_2D, LineSumConfig(reverse_path(CIRCLE_2D), reflect_partition(p))
-)
+fwd = line_sum(ROTATION_2D, CIRCLE_2D, p)
+bwd = line_sum(ROTATION_2D, reverse_path(CIRCLE_2D), reflect_partition(p))
 print(f"  forward {fwd.value:+.12f}   reversed {bwd.value:+.12f}")
 
 print()

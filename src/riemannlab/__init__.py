@@ -54,28 +54,8 @@ from .fields import (
     reverse_path,
     swap_surface,
 )
-from .quadrature import (
-    FULL,
-    SumEstimate,
-    VariantSpec,
-    combined_sum,
-    deleted_sum,
-    integrate_region,
-    perturbed_sum,
-    region_sum,
-    riemann_sum,
-    variant_sum,
-)
-from .curve_surface import (
-    LineSumConfig,
-    SurfaceSumConfig,
-    line_sum,
-    scalar_line_sum,
-    scalar_surface_sum,
-    surface_sum,
-    vector_line_sum,
-    vector_surface_sum,
-)
+from .quadrature import FULL, SumEstimate, VariantSpec, region_sum, variant_sum
+from .curve_surface import line_sum, surface_sum
 from .theorems import TheoremReport, gauss_check, green_check, stokes_check
 from .scenarios import Scenario, get_scenario, register_scenario, scenario_names
 from .harness import (

@@ -143,13 +143,8 @@ def spec_from_args(args) -> VariantSpec:
     )
 
 
-def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items())}
-    return cfg
-
-
 def _print_config(args) -> int:
-    print(json.dumps(_config_dict(args), sort_keys=True, default=str))
+    print(json.dumps(vars(args), sort_keys=True, default=str))
     return 0
 
 

@@ -6,13 +6,13 @@ surface, weighting by ||N|| dD (scalar) or N dD (vector). This module only
 evaluates those integrands at the parameter tags; the cell measures, the
 four variants (full, deleted, perturbed, combined) and the reduction all
 come from the one kernel, :func:`riemannlab.quadrature.pieces_sum`.
-Partitions always live on the parameter domain, never on the embedded
-curve/surface itself.
+:func:`line_sum` and :func:`surface_sum` are the entry points, scalar or
+vector by field type; :func:`line_dots` and :func:`surface_dots` are the
+vector integrands the theorem boundaries sum. Partitions always live on the
+parameter domain, never on the embedded curve/surface itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,43 +20,6 @@ from .errors import DimensionMismatch
 from .fields import ParametricSurface, Path, ScalarField, VectorField
 from .geometry import DeletionPlan, Partition, PerturbedPartition
 from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum
-
-
-@dataclass(frozen=True, eq=False)
-class LineSumConfig:
-    """A path with a 1D parameter partition and optional variant data."""
-
-    path: Path
-    partition: Partition
-    plan: DeletionPlan | None = None
-    perturbation: PerturbedPartition | None = None
-
-    def __post_init__(self):
-        if self.partition.dim != 1:
-            raise DimensionMismatch("line sums need a 1D parameter partition")
-        a, b = self.path.domain
-        if self.partition.parent.axes != ((float(a), float(b)),):
-            raise DimensionMismatch("partition must cover the path domain")
-        if self.perturbation is not None and self.perturbation.base is not self.partition:
-            raise DimensionMismatch("perturbation must be built from this partition")
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceSumConfig:
-    """A surface with a 2D parameter partition and optional variant data."""
-
-    surface: ParametricSurface
-    partition: Partition
-    plan: DeletionPlan | None = None
-    perturbation: PerturbedPartition | None = None
-
-    def __post_init__(self):
-        if self.partition.dim != 2:
-            raise DimensionMismatch("surface sums need a 2D parameter partition")
-        if self.partition.parent.axes != self.surface.domain.axes:
-            raise DimensionMismatch("partition must cover the surface domain")
-        if self.perturbation is not None and self.perturbation.base is not self.partition:
-            raise DimensionMismatch("perturbation must be built from this partition")
 
 
 def _scalar_line_integrand(
@@ -79,12 +42,6 @@ def line_dots(F: VectorField, path: Path, partition: Partition) -> np.ndarray:
     return np.sum(
         np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
     )
-
-
-def vector_line_terms(F: VectorField, cfg: LineSumConfig) -> np.ndarray:
-    """All m terms F(x(t*_k)) . x'(t*_k) dt_k."""
-    cells = cfg.partition if cfg.perturbation is None else cfg.perturbation
-    return line_dots(F, cfg.path, cfg.partition) * cells.measures
 
 
 def _scalar_surface_integrand(
@@ -111,58 +68,27 @@ def surface_dots(
     )
 
 
-def vector_surface_terms(F: VectorField, cfg: SurfaceSumConfig) -> np.ndarray:
-    """All m terms F(X(xi_k)) . N(xi_k) dD_k."""
-    cells = cfg.partition if cfg.perturbation is None else cfg.perturbation
-    return surface_dots(F, cfg.surface, cfg.partition) * cells.measures
-
-
-def scalar_line_sum(f: ScalarField, cfg: LineSumConfig) -> SumEstimate:
-    return pieces_sum(
-        [_scalar_line_integrand(f, cfg.path, cfg.partition)],
-        [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
-    )
-
-
-def vector_line_sum(F: VectorField, cfg: LineSumConfig) -> SumEstimate:
-    return pieces_sum(
-        [line_dots(F, cfg.path, cfg.partition)],
-        [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
-    )
-
-
-def scalar_surface_sum(f: ScalarField, cfg: SurfaceSumConfig) -> SumEstimate:
-    dots, degenerate = _scalar_surface_integrand(f, cfg.surface, cfg.partition)
-    return pieces_sum(
-        [dots], [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
-        degenerate=degenerate,
-    )
-
-
-def vector_surface_sum(F: VectorField, cfg: SurfaceSumConfig) -> SumEstimate:
-    return pieces_sum(
-        [surface_dots(F, cfg.surface, cfg.partition)],
-        [cfg.partition], plan=cfg.plan, perturbation=cfg.perturbation,
-    )
-
-
-# --- variant-configured entry points -----------------------------------------
-
-
 def line_sum(
     field,
     path: Path,
     partition: Partition,
     spec: VariantSpec = FULL,
+    plan: DeletionPlan | None = None,
+    perturbation: PerturbedPartition | None = None,
 ) -> SumEstimate:
-    """Line sum under a variant spec; scalar or vector by field type.
+    """Line sum over ``partition`` of the path's parameter interval.
 
-    LargestTerm selection ranks the actual |terms| of the unperturbed
-    configuration; the jitter and index seeds come from ``spec``.
+    Scalar or vector by field type. An explicit bound ``plan`` or
+    ``perturbation`` (built from ``partition``) wins over what ``spec``
+    would resolve; see :func:`riemannlab.quadrature.pieces_sum`.
     """
-    LineSumConfig(path, partition)  # validates the parameter partition
+    a, b = path.domain
+    if partition.parent.axes != ((float(a), float(b)),):
+        raise DimensionMismatch("partition must cover the path domain")
     integrand = line_dots if isinstance(field, VectorField) else _scalar_line_integrand
-    return pieces_sum([integrand(field, path, partition)], [partition], spec)
+    return pieces_sum(
+        [integrand(field, path, partition)], [partition], spec, plan, perturbation
+    )
 
 
 def surface_sum(
@@ -170,10 +96,20 @@ def surface_sum(
     surface: ParametricSurface,
     partition: Partition,
     spec: VariantSpec = FULL,
+    plan: DeletionPlan | None = None,
+    perturbation: PerturbedPartition | None = None,
 ) -> SumEstimate:
-    """Surface sum under a variant spec; scalar or vector by field type."""
-    SurfaceSumConfig(surface, partition)  # validates the parameter partition
+    """Surface sum over ``partition`` of the surface's parameter domain.
+
+    Scalar or vector by field type; ``plan`` and ``perturbation`` are as
+    for :func:`line_sum`.
+    """
+    if partition.parent.axes != surface.domain.axes:
+        raise DimensionMismatch("partition must cover the surface domain")
     if isinstance(field, VectorField):
-        return pieces_sum([surface_dots(field, surface, partition)], [partition], spec)
+        return pieces_sum(
+            [surface_dots(field, surface, partition)], [partition], spec, plan,
+            perturbation,
+        )
     dots, degenerate = _scalar_surface_integrand(field, surface, partition)
-    return pieces_sum([dots], [partition], spec, degenerate=degenerate)
+    return pieces_sum([dots], [partition], spec, plan, perturbation, degenerate)

@@ -134,7 +134,7 @@ def _validate_breakpoints(box: Box, breakpoints) -> tuple[np.ndarray, ...]:
         raise DegenerateBox("one breakpoint sequence required per axis")
     out = []
     for i, (raw, (lo, hi)) in enumerate(zip(breakpoints, box.axes)):
-        b = np.ascontiguousarray(np.asarray(raw, dtype=float))
+        b = np.array(raw, dtype=float)  # a copy: partitions never alias inputs
         if b.ndim != 1 or len(b) < 2:
             raise DegenerateBox(f"axis {i}: need at least two breakpoints")
         if b[0] != lo or b[-1] != hi:
@@ -198,7 +198,7 @@ def make_partition(
     if tags is None:
         tags = _make_tags(breaks, tag_rule, seed)
     else:
-        tags = np.ascontiguousarray(np.asarray(tags, dtype=float))
+        tags = np.array(tags, dtype=float, order="C")
         if tags.shape != (m, box.dim):
             raise ValueError(f"tags must have shape ({m}, {box.dim})")
         if _escaped_axis(tags.reshape(counts + (box.dim,)), breaks) is not None:
@@ -454,12 +454,6 @@ class DeletionPlan:
     schedule: Schedule
     selector: Selector = Prefix()
     resolved: tuple[int, ...] | None = None
-
-    @property
-    def deleted_count(self) -> int:
-        if self.resolved is None:
-            return 0
-        return len(self.resolved)
 
 
 def select_indices(

@@ -56,10 +56,6 @@ class ConvergenceReport:
     base_seed: int
 
 
-def _partition(box: Box, counts, tag_rule, seed):
-    return make_uniform_partition(box, counts, tag_rule=tag_rule, seed=seed)
-
-
 def evaluate_scenario(
     sc: Scenario,
     m_axis: int,
@@ -82,37 +78,41 @@ def evaluate_scenario(
         boundary_spec = spec.with_seed(seed + BOUNDARY_SEED_SHIFT)
 
     if sc.kind == "box":
-        p = _partition(sc.box, m_axis, tag_rule, seed)
+        p = make_uniform_partition(sc.box, m_axis, tag_rule, seed)
         return variant_sum(sc.field, p, spec)
     if sc.kind == "line":
-        p = _partition(sc.box, m_axis, tag_rule, seed)
+        p = make_uniform_partition(sc.box, m_axis, tag_rule, seed)
         return line_sum(sc.field, sc.path, p, spec)
     if sc.kind == "surface":
-        p = _partition(sc.surface.domain, m_axis, tag_rule, seed)
+        p = make_uniform_partition(sc.surface.domain, m_axis, tag_rule, seed)
         return surface_sum(sc.field, sc.surface, p, spec)
     if sc.kind == "green":
-        interior = _partition(sc.region.param_box, m_axis, tag_rule, seed)
+        interior = make_uniform_partition(sc.region.param_box, m_axis, tag_rule, seed)
         bps = [
-            _partition(Box(((path.domain[0], path.domain[1]),)), boundary_m,
-                       tag_rule, boundary_spec.seed + i)
+            make_uniform_partition(Box(((path.domain[0], path.domain[1]),)),
+                                   boundary_m, tag_rule, boundary_spec.seed + i)
             for i, path in enumerate(sc.region.boundary)
         ]
         return green_check(
             sc.field, sc.region, interior, bps, spec, boundary_spec, sc.exact
         )
     if sc.kind == "gauss":
-        interior = _partition(sc.region.param_box, m_axis, tag_rule, seed)
+        interior = make_uniform_partition(sc.region.param_box, m_axis, tag_rule, seed)
         bps = [
-            _partition(surf.domain, boundary_m, tag_rule, boundary_spec.seed + i)
+            make_uniform_partition(
+                surf.domain, boundary_m, tag_rule, boundary_spec.seed + i
+            )
             for i, surf in enumerate(sc.region.boundary)
         ]
         return gauss_check(
             sc.field, sc.region, interior, bps, spec, boundary_spec, sc.exact
         )
     if sc.kind == "stokes":
-        surf_p = _partition(sc.surface.domain, m_axis, tag_rule, seed)
+        surf_p = make_uniform_partition(sc.surface.domain, m_axis, tag_rule, seed)
         a, b = sc.path.domain
-        bp = _partition(Box(((a, b),)), boundary_m, tag_rule, boundary_spec.seed)
+        bp = make_uniform_partition(
+            Box(((a, b),)), boundary_m, tag_rule, boundary_spec.seed
+        )
         return stokes_check(
             sc.field, sc.surface, surf_p, sc.path, bp, spec, boundary_spec, sc.exact
         )
@@ -206,15 +206,13 @@ def run_sweep(
     )
 
 
-def single_report(
-    sc: Scenario, result, spec: VariantSpec, boundary_spec=None
-) -> ConvergenceReport:
+def single_report(sc: Scenario, result, spec: VariantSpec) -> ConvergenceReport:
     """Wrap one evaluation as a one-row report (for CSV routing)."""
     row = _row_from_result(result, sc.exact, spec.seed)
     return ConvergenceReport(
         scenario=sc.name,
         kind=sc.kind,
-        variant=_variant_label(sc, spec, boundary_spec),
+        variant=_variant_label(sc, spec, None),
         rows=(row,),
         fitted_rate=None,
         base_seed=spec.seed,

@@ -1,4 +1,4 @@
-"""The variant kernel, and the four Riemann-sum variants over boxes.
+"""The variant kernel, and box and region sums in the four variants.
 
 full        sum_k f(xi_k) m(I_k)
 deleted     the same sum with a bound deletion plan's indices dropped
@@ -11,6 +11,11 @@ their tags and hand them to it, with the partitions they live on. It
 resolves deletion once over one index space, weights by base or perturbed
 cell measures, and accumulates in ascending cell order with compensated
 summation, so equal inputs give bit-identical estimates.
+
+Each integral has one entry point (:func:`variant_sum`, :func:`region_sum`
+here; ``line_sum`` and ``surface_sum`` in :mod:`riemannlab.curve_surface`).
+It takes a :class:`VariantSpec`, and optionally an explicit bound ``plan``
+and/or ``perturbation``, which win over what the spec would resolve.
 """
 
 from __future__ import annotations
@@ -71,28 +76,6 @@ def _values(f: ScalarField, p: Partition) -> np.ndarray:
     return np.asarray(f(p.tags), dtype=float)
 
 
-def riemann_sum(f: ScalarField, p: Partition) -> SumEstimate:
-    """Full Riemann sum sigma(f, P, xi) over the tagged partition."""
-    return pieces_sum([_values(f, p)], [p])
-
-
-def deleted_sum(f: ScalarField, p: Partition, plan: DeletionPlan) -> SumEstimate:
-    """Incomplete Riemann sum: the bound plan's indices are dropped."""
-    return pieces_sum([_values(f, p)], [p], plan=plan)
-
-
-def perturbed_sum(f: ScalarField, pp: PerturbedPartition) -> SumEstimate:
-    """Non-Riemann sum: base tags weighted by perturbed measures."""
-    return pieces_sum([_values(f, pp.base)], [pp.base], perturbation=pp)
-
-
-def combined_sum(
-    f: ScalarField, pp: PerturbedPartition, plan: DeletionPlan
-) -> SumEstimate:
-    """Deleted indices and perturbed measures together."""
-    return pieces_sum([_values(f, pp.base)], [pp.base], plan=plan, perturbation=pp)
-
-
 # --- region integrals via change of variables --------------------------------
 
 
@@ -105,26 +88,6 @@ def region_integrand(f: ScalarField, region: ParametricRegion) -> ScalarField:
         fn=lambda params: np.asarray(f(region.mapping(params)), dtype=float)
         * np.asarray(region.jac_det(params), dtype=float),
     )
-
-
-def integrate_region(
-    f: ScalarField,
-    region: ParametricRegion,
-    p: Partition,
-    plan: DeletionPlan | None = None,
-    perturbation: PerturbedPartition | None = None,
-) -> SumEstimate:
-    """Apply any sum variant to f over a parametric region.
-
-    ``p`` must partition ``region.param_box``; the variant is selected by
-    which of ``plan`` / ``perturbation`` are present. A perturbation brings
-    its own base partition, whose tags are then used.
-    """
-    if p.parent.axes != region.param_box.axes:
-        raise DimensionMismatch("partition does not cover the region's parameter box")
-    g = region_integrand(f, region)
-    base = p if perturbation is None else perturbation.base
-    return pieces_sum([_values(g, base)], [base], plan=plan, perturbation=perturbation)
 
 
 # --- variant configuration ---------------------------------------------------
@@ -204,18 +167,24 @@ def pieces_sum(
     """Sum integrand x cell measure over tagged pieces, in any variant.
 
     ``dots[i]`` is the integrand of piece i at the tags of ``partitions[i]``;
-    the pieces form one index space. A bound ``plan`` and a one-piece
-    ``perturbation`` are used as given; otherwise ``spec`` selects the
-    deleted indices (LargestTerm ranks |integrand x base measure|) and
-    jitters piece i with seed ``spec.seed + i``. Keeping a cell marked
-    ``degenerate`` (vanishing surface normal) raises DegenerateNormal.
+    the pieces form one index space. A bound ``plan`` and a ``perturbation``
+    are used as given, in place of what ``spec`` would resolve; a
+    perturbation must be built from the one partition it weights. Otherwise
+    ``spec`` selects the deleted indices (LargestTerm ranks |integrand x
+    base measure|) and jitters piece i with seed ``spec.seed + i``. Keeping
+    a cell marked ``degenerate`` (vanishing surface normal) raises
+    DegenerateNormal.
     """
+    if perturbation is not None and (
+        len(partitions) != 1 or perturbation.base is not partitions[0]
+    ):
+        raise DimensionMismatch(
+            "a perturbation must be built from the one partition it weights"
+        )
     m = sum(p.m for p in partitions)
     if plan is None and spec.deletes:
         indices = _selected(spec, dots, partitions, m)
         plan = DeletionPlan(spec.schedule, spec.selector, indices)
-    if perturbation is not None and len(partitions) != 1:
-        raise DimensionMismatch("an explicit perturbation covers exactly one piece")
     pps = None if perturbation is None else [perturbation]
     if pps is None and spec.perturbs:
         pps = [perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)]
@@ -258,9 +227,19 @@ def resolve_variant(
     return plan, pp
 
 
-def variant_sum(f: ScalarField, p: Partition, spec: VariantSpec = FULL) -> SumEstimate:
-    """Evaluate the box sum variant described by ``spec``."""
-    return pieces_sum([_values(f, p)], [p], spec)
+def variant_sum(
+    f: ScalarField,
+    p: Partition,
+    spec: VariantSpec = FULL,
+    plan: DeletionPlan | None = None,
+    perturbation: PerturbedPartition | None = None,
+) -> SumEstimate:
+    """Box sum of f over ``p`` in the variant ``spec`` describes.
+
+    An explicit bound ``plan`` or ``perturbation`` (built from ``p``) wins
+    over what ``spec`` would resolve; see :func:`pieces_sum`.
+    """
+    return pieces_sum([_values(f, p)], [p], spec, plan, perturbation)
 
 
 def region_sum(
@@ -268,11 +247,17 @@ def region_sum(
     region: ParametricRegion,
     p: Partition,
     spec: VariantSpec = FULL,
+    plan: DeletionPlan | None = None,
+    perturbation: PerturbedPartition | None = None,
 ) -> SumEstimate:
-    """Variant-configured region integral (change of variables + box sum)."""
+    """Region integral: change of variables, then :func:`variant_sum`.
+
+    ``p`` must partition ``region.param_box``; ``plan`` and ``perturbation``
+    are as for :func:`variant_sum`.
+    """
     if p.parent.axes != region.param_box.axes:
         raise DimensionMismatch("partition does not cover the region's parameter box")
-    return variant_sum(region_integrand(f, region), p, spec)
+    return variant_sum(region_integrand(f, region), p, spec, plan, perturbation)
 
 
 def field_bound(f: ScalarField, p: Partition) -> tuple[float, bool]:

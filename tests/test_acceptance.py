@@ -31,7 +31,6 @@ from riemannlab import (
     EqualPartitionRequired,
     FixedK,
     LargestTerm,
-    LineSumConfig,
     Logarithmic,
     ParametricSurface,
     Path,
@@ -39,22 +38,15 @@ from riemannlab import (
     Prefix,
     RandomPick,
     ScalarField,
-    SurfaceSumConfig,
     VariantSpec,
     VectorField,
     bind_deletion,
-    combined_sum,
-    deleted_sum,
+    line_sum,
     make_partition,
     make_uniform_partition,
     perturb,
-    perturbed_sum,
-    riemann_sum,
-    scalar_line_sum,
-    scalar_surface_sum,
+    surface_sum,
     variant_sum,
-    vector_line_sum,
-    vector_surface_sum,
 )
 from riemannlab.harness import evaluate_scenario, run_sweep
 from riemannlab.scenarios import get_scenario
@@ -106,7 +98,7 @@ def test_criterion_1_deletion_bound_suite():
                 schedule = FixedK(int(rng.integers(1, p.m)))
             terms = np.abs(np.asarray(f(p.tags)) * p.measures)
             plan = bind_deletion(DeletionPlan(schedule, selector), p, terms=terms)
-            gap = abs(deleted_sum(f, p, plan).value - riemann_sum(f, p).value)
+            gap = abs(variant_sum(f, p, plan=plan).value - variant_sum(f, p).value)
             limit = len(plan.resolved) * bound * float(np.max(p.measures))
             assert gap <= limit, (trial, gap, limit)
 
@@ -119,7 +111,7 @@ def test_criterion_2_perturbation_bound_suite():
             fn, bound = random_poly_scalar(rng, p.dim, axes)
             f = ScalarField(p.dim, fn, bound_M=bound)
             pp = perturb(p, float(rng.uniform(0.0, 0.9)), seed=trial)
-            gap = abs(perturbed_sum(f, pp).value - riemann_sum(f, p).value)
+            gap = abs(variant_sum(f, p, perturbation=pp).value - variant_sum(f, p).value)
             limit = bound * pp.symdiff_total + 4 * EPS * bound
             assert gap <= limit, (trial, gap, limit)
 
@@ -212,14 +204,7 @@ def _oracle_case(rng, trial):
                 DeletionPlan(FixedK(int(rng.integers(1, p.m))),
                              (Prefix(), RandomPick(trial), LargestTerm())[trial % 3]),
                 p, terms=mags)
-        if plan is not None and pp is not None:
-            impl = combined_sum(f, pp, plan)
-        elif pp is not None:
-            impl = perturbed_sum(f, pp)
-        elif plan is not None:
-            impl = deleted_sum(f, p, plan)
-        else:
-            impl = riemann_sum(f, p)
+        impl = variant_sum(f, p, plan=plan, perturbation=pp)
         terms = naive_box_terms(f, p, perturbation=pp)
     elif kind == 1:  # line
         pos, vel = random_poly_path(rng, dim_out=2)
@@ -235,15 +220,13 @@ def _oracle_case(rng, trial):
             field = ScalarField(2, fn)
         pp = perturb(p, float(rng.uniform(0, 0.9)), seed=trial) if perturbs else None
         plan = None
-        cfg0 = LineSumConfig(path, p)
         if deletes:
             base = naive_line_terms(field, path, p, vector=vector)
             plan = bind_deletion(
                 DeletionPlan(FixedK(int(rng.integers(1, p.m))),
                              (Prefix(), RandomPick(trial), LargestTerm())[trial % 3]),
                 p, terms=np.abs(base))
-        cfg = LineSumConfig(path, p, plan=plan, perturbation=pp)
-        impl = vector_line_sum(field, cfg) if vector else scalar_line_sum(field, cfg)
+        impl = line_sum(field, path, p, plan=plan, perturbation=pp)
         terms = naive_line_terms(field, path, p, perturbation=pp, vector=vector)
     else:  # surface
         pos, du, dv = random_poly_surface(rng)
@@ -265,8 +248,7 @@ def _oracle_case(rng, trial):
                 DeletionPlan(FixedK(int(rng.integers(1, p.m))),
                              (Prefix(), RandomPick(trial), LargestTerm())[trial % 3]),
                 p, terms=np.abs(base))
-        cfg = SurfaceSumConfig(surface, p, plan=plan, perturbation=pp)
-        impl = vector_surface_sum(field, cfg) if vector else scalar_surface_sum(field, cfg)
+        impl = surface_sum(field, surface, p, plan=plan, perturbation=pp)
         terms = naive_surface_terms(field, surface, p, perturbation=pp, vector=vector)
 
     deleted = plan.resolved if plan is not None else ()

@@ -15,13 +15,11 @@ from riemannlab import (
     DeletionPlan,
     DimensionMismatch,
     FixedK,
-    LineSumConfig,
     ParametricSurface,
     Path,
     Prefix,
     RandomPick,
     ScalarField,
-    SurfaceSumConfig,
     VariantSpec,
     VectorField,
     bind_deletion,
@@ -29,14 +27,10 @@ from riemannlab import (
     make_uniform_partition,
     perturb,
     reverse_path,
-    scalar_line_sum,
-    scalar_surface_sum,
     surface_sum,
     swap_surface,
-    vector_line_sum,
-    vector_surface_sum,
 )
-from riemannlab.curve_surface import vector_line_terms, vector_surface_terms
+from riemannlab.curve_surface import line_dots, surface_dots
 from riemannlab.scenarios import (
     CIRCLE_2D,
     DISK_PATCH,
@@ -67,14 +61,13 @@ def circle_partition(m, **kw):
 
 class TestScalarLineSum:
     def test_unit_circle_arclength(self):
-        cfg = LineSumConfig(CIRCLE_2D, circle_partition(64))
-        est = scalar_line_sum(UNIT_SPEED_2D, cfg)
+        est = line_sum(UNIT_SPEED_2D, CIRCLE_2D, circle_partition(64))
         assert abs(est.value - TWO_PI) <= 64 * EPS * TWO_PI
 
     def test_one_deleted_term(self):
         p = circle_partition(64)
         plan = bind_deletion(DeletionPlan(FixedK(1), Prefix()), p)
-        est = scalar_line_sum(UNIT_SPEED_2D, LineSumConfig(CIRCLE_2D, p, plan=plan))
+        est = line_sum(UNIT_SPEED_2D, CIRCLE_2D, p, plan=plan)
         assert abs(est.value - TWO_PI * 63 / 64) <= 64 * EPS * TWO_PI
 
     def test_segment_midpoint_exact(self):
@@ -87,23 +80,23 @@ class TestScalarLineSum:
         )
         f = ScalarField(2, lambda p: p[..., 0])
         p = make_uniform_partition(Box(((0.0, 1.0),)), 8)
-        assert scalar_line_sum(f, LineSumConfig(seg, p)).value == 0.5
+        assert line_sum(f, seg, p).value == 0.5
 
     def test_dimension_mismatch(self):
         f3 = ScalarField(3, lambda p: np.ones(p.shape[:-1]))
         with pytest.raises(DimensionMismatch):
-            scalar_line_sum(f3, LineSumConfig(CIRCLE_2D, circle_partition(8)))
+            line_sum(f3, CIRCLE_2D, circle_partition(8))
 
     def test_partition_must_cover_domain(self):
+        p = make_uniform_partition(Box(((0.0, 1.0),)), 8)
         with pytest.raises(DimensionMismatch):
-            LineSumConfig(CIRCLE_2D, make_uniform_partition(Box(((0.0, 1.0),)), 8))
+            line_sum(UNIT_SPEED_2D, CIRCLE_2D, p)
 
 
 class TestVectorLineSum:
     @pytest.mark.parametrize("m", [4, 16, 128])
     def test_rotation_circulation(self, m):
-        cfg = LineSumConfig(CIRCLE_2D, circle_partition(m))
-        est = vector_line_sum(ROTATION_2D, cfg)
+        est = line_sum(ROTATION_2D, CIRCLE_2D, circle_partition(m))
         assert abs(est.value - TWO_PI) <= 4 * m * EPS * TWO_PI
 
     def test_gradient_field_potential_difference(self):
@@ -115,50 +108,44 @@ class TestVectorLineSum:
         )
         F = VectorField(2, 2, lambda p: np.stack([p[..., 1], p[..., 0]], -1))
         p = make_uniform_partition(Box(((0.0, 1.0),)), 1024)
-        est = vector_line_sum(F, LineSumConfig(diag, p))
+        est = line_sum(F, diag, p)
         assert abs(est.value - 1.0) < 1e-12
 
     def test_perturbed_zero_gamma_equals_full(self):
         p = circle_partition(32)
         pp = perturb(p, 0.0, seed=1)
-        full = vector_line_sum(ROTATION_2D, LineSumConfig(CIRCLE_2D, p))
-        pert = vector_line_sum(
-            ROTATION_2D, LineSumConfig(CIRCLE_2D, p, perturbation=pp)
-        )
+        full = line_sum(ROTATION_2D, CIRCLE_2D, p)
+        pert = line_sum(ROTATION_2D, CIRCLE_2D, p, perturbation=pp)
         assert pert.value == full.value
 
 
 class TestScalarSurfaceSum:
     def test_sphere_area(self):
         p = make_uniform_partition(SPHERE.domain, (128, 128))
-        est = scalar_surface_sum(UNIT_DENSITY_3D, SurfaceSumConfig(SPHERE, p))
+        est = surface_sum(UNIT_DENSITY_3D, SPHERE, p)
         assert abs(est.value - 4 * math.pi) < 1e-2
 
     def test_flat_patch_exact(self):
         p = make_uniform_partition(FLAT_PATCH.domain, (8, 8))
-        est = scalar_surface_sum(UNIT_DENSITY_3D, SurfaceSumConfig(FLAT_PATCH, p))
+        est = surface_sum(UNIT_DENSITY_3D, FLAT_PATCH, p)
         assert est.value == 1.0
 
     def test_deletion_bound_by_oracle(self):
         p = make_uniform_partition(SPHERE.domain, (12, 12))
         terms = naive_surface_terms(UNIT_DENSITY_3D, SPHERE, p)
         plan = bind_deletion(DeletionPlan(FixedK(5), RandomPick(2)), p)
-        full = scalar_surface_sum(UNIT_DENSITY_3D, SurfaceSumConfig(SPHERE, p))
-        part = scalar_surface_sum(
-            UNIT_DENSITY_3D, SurfaceSumConfig(SPHERE, p, plan=plan)
-        )
+        full = surface_sum(UNIT_DENSITY_3D, SPHERE, p)
+        part = surface_sum(UNIT_DENSITY_3D, SPHERE, p, plan=plan)
         assert abs(part.value - full.value) <= 5 * max(abs(t) for t in terms) * (1 + 1e-12)
 
     def test_degenerate_normal_at_used_tag(self):
         # corner tags include u = 0 where the disk patch normal (0,0,u) vanishes
         p = make_uniform_partition(DISK_PATCH.domain, (4, 4), tag_rule="corner")
         with pytest.raises(DegenerateNormal):
-            scalar_surface_sum(UNIT_DENSITY_3D, SurfaceSumConfig(DISK_PATCH, p))
+            surface_sum(UNIT_DENSITY_3D, DISK_PATCH, p)
         # deleting exactly the degenerate tags makes the rest computable
         plan = DeletionPlan(FixedK(4), Prefix(), resolved=(0, 1, 2, 3))
-        est = scalar_surface_sum(
-            UNIT_DENSITY_3D, SurfaceSumConfig(DISK_PATCH, p, plan=plan)
-        )
+        est = surface_sum(UNIT_DENSITY_3D, DISK_PATCH, p, plan=plan)
         assert est.deleted_count == 4
 
 
@@ -167,7 +154,7 @@ class TestVectorSurfaceSum:
         from riemannlab.scenarios import IDENTITY_3D
 
         p = make_uniform_partition(SPHERE.domain, (128, 128))
-        est = vector_surface_sum(IDENTITY_3D, SurfaceSumConfig(SPHERE, p))
+        est = surface_sum(IDENTITY_3D, SPHERE, p)
         assert abs(est.value - 4 * math.pi) < 1e-2
 
     def test_constant_flux_through_flat_patch(self):
@@ -180,7 +167,7 @@ class TestVectorSurfaceSum:
             ),
         )
         p = make_uniform_partition(FLAT_PATCH.domain, (8, 8))
-        assert vector_surface_sum(F, SurfaceSumConfig(FLAT_PATCH, p)).value == 1.0
+        assert surface_sum(F, FLAT_PATCH, p).value == 1.0
 
     def test_tangent_field_zero_flux(self):
         F = VectorField(
@@ -189,7 +176,7 @@ class TestVectorSurfaceSum:
             lambda p: np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], -1),
         )
         p = make_uniform_partition(FLAT_PATCH.domain, (8, 8))
-        assert vector_surface_sum(F, SurfaceSumConfig(FLAT_PATCH, p)).value == 0.0
+        assert surface_sum(F, FLAT_PATCH, p).value == 0.0
 
 
 class TestOrientation:
@@ -200,11 +187,11 @@ class TestOrientation:
         p = circle_partition(m, tag_rule="random", seed=5)
         rev_path = reverse_path(CIRCLE_2D)
         rev_p = reflect_partition(p)
-        fwd = vector_line_terms(ROTATION_2D, LineSumConfig(CIRCLE_2D, p))
-        bwd = vector_line_terms(ROTATION_2D, LineSumConfig(rev_path, rev_p))
+        fwd = line_dots(ROTATION_2D, CIRCLE_2D, p) * p.measures
+        bwd = line_dots(ROTATION_2D, rev_path, rev_p) * rev_p.measures
         np.testing.assert_array_equal(bwd, -fwd[::-1])
-        sf = vector_line_sum(ROTATION_2D, LineSumConfig(CIRCLE_2D, p))
-        sb = vector_line_sum(ROTATION_2D, LineSumConfig(rev_path, rev_p))
+        sf = line_sum(ROTATION_2D, CIRCLE_2D, p)
+        sb = line_sum(ROTATION_2D, rev_path, rev_p)
         scale = float(np.sum(np.abs(fwd)))
         assert abs(sb.value + sf.value) <= 4 * EPS * scale
 
@@ -215,11 +202,11 @@ class TestOrientation:
         p = make_uniform_partition(SPHERE.domain, (6, 9), tag_rule="random", seed=3)
         swapped = swap_surface(SPHERE)
         sw_p = swap_axes_partition(p)
-        fwd = vector_surface_terms(IDENTITY_3D, SurfaceSumConfig(SPHERE, p))
-        bwd = vector_surface_terms(IDENTITY_3D, SurfaceSumConfig(swapped, sw_p))
+        fwd = surface_dots(IDENTITY_3D, SPHERE, p) * p.measures
+        bwd = surface_dots(IDENTITY_3D, swapped, sw_p) * sw_p.measures
         np.testing.assert_array_equal(bwd, -fwd.reshape(6, 9).T.ravel())
-        sf = vector_surface_sum(IDENTITY_3D, SurfaceSumConfig(SPHERE, p))
-        sb = vector_surface_sum(IDENTITY_3D, SurfaceSumConfig(swapped, sw_p))
+        sf = surface_sum(IDENTITY_3D, SPHERE, p)
+        sb = surface_sum(IDENTITY_3D, swapped, sw_p)
         assert abs(sb.value + sf.value) <= 4 * EPS * float(np.sum(np.abs(fwd)))
 
 
@@ -227,9 +214,7 @@ class TestReparametrization:
     def test_circle_under_t_and_t_squared(self):
         f = ScalarField(2, lambda p: p[..., 0] ** 2)  # int x^2 ds = pi
         m = 10**4
-        straight = scalar_line_sum(
-            f, LineSumConfig(CIRCLE_2D, circle_partition(m))
-        )
+        straight = line_sum(f, CIRCLE_2D, circle_partition(m))
         end = math.sqrt(TWO_PI)
         squared = Path(
             domain=(0.0, end),
@@ -245,7 +230,7 @@ class TestReparametrization:
             ),
         )
         sq_p = make_uniform_partition(Box(((0.0, end),)), m)
-        reparam = scalar_line_sum(f, LineSumConfig(squared, sq_p))
+        reparam = line_sum(f, squared, sq_p)
         assert abs(straight.value - reparam.value) < 1e-3
         assert abs(straight.value - math.pi) < 1e-3
 
@@ -265,8 +250,8 @@ class TestVariantBounds:
             f = ScalarField(2, fn)
             k = int(rng.integers(1, p.m))
             plan = bind_deletion(DeletionPlan(FixedK(k), RandomPick(trial)), p)
-            full = scalar_line_sum(f, LineSumConfig(path, p))
-            part = scalar_line_sum(f, LineSumConfig(path, p, plan=plan))
+            full = line_sum(f, path, p)
+            part = line_sum(f, path, p, plan=plan)
             t = p.tags[:, 0]
             speeds = np.sqrt(np.sum(np.asarray(path.vel(t)) ** 2, axis=-1))
             m_prime = float(np.max(np.abs(f(path.pos(t)))))
@@ -285,8 +270,8 @@ class TestVariantBounds:
             f = ScalarField(3, fn)
             k = int(rng.integers(1, p.m))
             plan = bind_deletion(DeletionPlan(FixedK(k), RandomPick(trial)), p)
-            full = scalar_surface_sum(f, SurfaceSumConfig(surface, p))
-            part = scalar_surface_sum(f, SurfaceSumConfig(surface, p, plan=plan))
+            full = surface_sum(f, surface, p)
+            part = surface_sum(f, surface, p, plan=plan)
             norms = np.sqrt(np.sum(surface.normal(p.tags) ** 2, axis=-1))
             m_prime = float(np.max(np.abs(f(surface.pos(p.tags)))))
             max_weight = float(np.max(norms * p.measures))
@@ -325,9 +310,7 @@ class TestVariantEntryPoints:
             )
             pp = perturb(p, 0.5, seed=trial)
             plan = bind_deletion(DeletionPlan(FixedK(1), RandomPick(trial)), p)
-            est = vector_line_sum(
-                F, LineSumConfig(path, p, plan=plan, perturbation=pp)
-            )
+            est = line_sum(F, path, p, plan=plan, perturbation=pp)
             terms = naive_line_terms(F, path, p, perturbation=pp, vector=True)
             expected = naive_total(terms, plan.resolved)
             scale = max(naive_magnitude(terms, plan.resolved), 1e-30)

@@ -116,6 +116,17 @@ class TestExplicitPartition:
         with pytest.raises(ValueError, match="inside their closed cells"):
             make_partition(box, breaks, tags=tags)
 
+    def test_inputs_are_copied(self):
+        b = np.array([0.0, 0.5, 1.0])
+        tags = np.array([[0.1], [0.6]])
+        p = make_partition(UNIT, [b], tags=tags)
+        g = np.array([0.0, 0.55, 1.0])
+        pp = apply_perturbation(make_uniform_partition(UNIT, 2), [g])
+        b[1], tags[0, 0], g[1] = 0.9, 0.9, 0.45
+        np.testing.assert_array_equal(p.breakpoints[0], [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(p.tags, [[0.1], [0.6]])
+        np.testing.assert_array_equal(pp.breakpoints[0], [0.0, 0.55, 1.0])
+
     def test_breakpoints_must_span_box(self):
         with pytest.raises(DegenerateBox):
             make_partition(UNIT, [np.array([0.0, 0.5, 0.9])])

@@ -1,10 +1,11 @@
 """The variant kernel behind every box, line and surface sum.
 
-The spec entry points (``variant_sum``, ``line_sum``, ``surface_sum``) and
-the explicit ones (``deleted_sum``, ``LineSumConfig(plan=, perturbation=)``,
-...) both reach ``quadrature.pieces_sum``; these tests pin that they agree
-bit for bit, and that LargestTerm ranks the one field evaluation the sum
-itself uses.
+Each entry point (``variant_sum``, ``line_sum``, ``surface_sum``) takes a
+``VariantSpec`` that the kernel, ``quadrature.pieces_sum``, resolves, or an
+explicit bound ``plan=`` and ``perturbation=``. These tests pin that the two
+spellings agree bit for bit, that a perturbation is refused unless it was
+built from the partition it weights, and that LargestTerm ranks the one
+field evaluation the sum itself uses.
 """
 
 import numpy as np
@@ -12,27 +13,19 @@ import pytest
 
 from riemannlab import (
     Box,
+    DimensionMismatch,
     FixedK,
     LargestTerm,
-    LineSumConfig,
     Prefix,
     RandomPick,
     ScalarField,
-    SurfaceSumConfig,
     VariantSpec,
     VectorField,
-    combined_sum,
-    deleted_sum,
     line_sum,
     make_uniform_partition,
-    perturbed_sum,
-    riemann_sum,
-    scalar_line_sum,
-    scalar_surface_sum,
+    perturb,
     surface_sum,
     variant_sum,
-    vector_line_sum,
-    vector_surface_sum,
 )
 from riemannlab.quadrature import resolve_variant
 from riemannlab.scenarios import CIRCLE_2D, IDENTITY_3D, ROTATION_2D, SPHERE, TWO_PI
@@ -53,28 +46,23 @@ def _normal_norm(surface, p):
     return np.sqrt(np.sum(surface.normal(p.tags) ** 2, axis=-1))
 
 
-# kind -> (field, partition, spec entry point, explicit entry point, base terms)
-# The explicit entry point takes the plan and perturbation resolve_variant
-# builds; the base terms (integrand x unperturbed measure) feed LargestTerm.
+# kind -> (field, partition, spec call, explicit call, base terms)
+# The explicit call passes the plan and perturbation resolve_variant builds;
+# the base terms (integrand x unperturbed measure) feed LargestTerm.
 CASES = {
     "box": (
         BOX_FIELD,
         lambda: make_uniform_partition(SQUARE, (7, 5), "random", seed=3),
         lambda f, p, spec: variant_sum(f, p, spec),
-        lambda f, p, plan, pp: (
-            combined_sum(f, pp, plan) if plan is not None and pp is not None
-            else perturbed_sum(f, pp) if pp is not None
-            else deleted_sum(f, p, plan) if plan is not None
-            else riemann_sum(f, p)
-        ),
+        lambda f, p, plan, pp: variant_sum(f, p, plan=plan, perturbation=pp),
         lambda f, p: np.asarray(f(p.tags)) * p.measures,
     ),
     "scalar-line": (
         LINE_FIELD,
         lambda: make_uniform_partition(CIRCLE_BOX, 23, "random", seed=3),
         lambda f, p, spec: line_sum(f, CIRCLE_2D, p, spec),
-        lambda f, p, plan, pp: scalar_line_sum(
-            f, LineSumConfig(CIRCLE_2D, p, plan, pp)
+        lambda f, p, plan, pp: line_sum(
+            f, CIRCLE_2D, p, plan=plan, perturbation=pp
         ),
         lambda f, p: np.asarray(f(CIRCLE_2D.pos(p.tags[:, 0])))
         * _speed(CIRCLE_2D, p) * p.measures,
@@ -83,8 +71,8 @@ CASES = {
         ROTATION_2D,
         lambda: make_uniform_partition(CIRCLE_BOX, 23, "random", seed=3),
         lambda f, p, spec: line_sum(f, CIRCLE_2D, p, spec),
-        lambda f, p, plan, pp: vector_line_sum(
-            f, LineSumConfig(CIRCLE_2D, p, plan, pp)
+        lambda f, p, plan, pp: line_sum(
+            f, CIRCLE_2D, p, plan=plan, perturbation=pp
         ),
         lambda f, p: np.sum(
             f(CIRCLE_2D.pos(p.tags[:, 0])) * CIRCLE_2D.vel(p.tags[:, 0]), axis=-1
@@ -94,8 +82,8 @@ CASES = {
         SURFACE_FIELD,
         lambda: make_uniform_partition(SPHERE.domain, (6, 7), "random", seed=3),
         lambda f, p, spec: surface_sum(f, SPHERE, p, spec),
-        lambda f, p, plan, pp: scalar_surface_sum(
-            f, SurfaceSumConfig(SPHERE, p, plan, pp)
+        lambda f, p, plan, pp: surface_sum(
+            f, SPHERE, p, plan=plan, perturbation=pp
         ),
         lambda f, p: np.asarray(f(SPHERE.pos(p.tags)))
         * _normal_norm(SPHERE, p) * p.measures,
@@ -104,8 +92,8 @@ CASES = {
         IDENTITY_3D,
         lambda: make_uniform_partition(SPHERE.domain, (6, 7), "random", seed=3),
         lambda f, p, spec: surface_sum(f, SPHERE, p, spec),
-        lambda f, p, plan, pp: vector_surface_sum(
-            f, SurfaceSumConfig(SPHERE, p, plan, pp)
+        lambda f, p, plan, pp: surface_sum(
+            f, SPHERE, p, plan=plan, perturbation=pp
         ),
         lambda f, p: np.sum(f(SPHERE.pos(p.tags)) * SPHERE.normal(p.tags), axis=-1)
         * p.measures,
@@ -137,6 +125,15 @@ def test_spec_and_explicit_entry_points_agree_bitwise(case, kind, selector):
     via_explicit = explicit_sum(field, p, plan, pp)
     assert via_spec.variant == kind
     assert _fields(via_spec) == _fields(via_explicit)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_perturbation_of_another_partition_is_refused(case):
+    field, partition, _, explicit_sum, _ = CASES[case]
+    # an equal partition, but not the one the sum weights
+    other = perturb(partition(), 0.3, seed=1)
+    with pytest.raises(DimensionMismatch):
+        explicit_sum(field, partition(), None, other)
 
 
 def _counted(field):

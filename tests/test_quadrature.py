@@ -25,13 +25,10 @@ from riemannlab import (
     VariantSpec,
     apply_perturbation,
     bind_deletion,
-    combined_sum,
-    deleted_sum,
-    integrate_region,
     make_uniform_partition,
+    neumaier_sum,
     perturb,
-    perturbed_sum,
-    riemann_sum,
+    region_sum,
     variant_sum,
 )
 from riemannlab.quadrature import field_bound
@@ -46,25 +43,25 @@ EPS = np.finfo(float).eps
 class TestRiemannSum:
     def test_constant_tiles(self):
         p = make_uniform_partition(UNIT, 4)
-        assert riemann_sum(ONE_1D, p).value == 1.0
+        assert variant_sum(ONE_1D, p).value == 1.0
 
     def test_midpoint_exact_for_linear(self):
         p = make_uniform_partition(UNIT, 4, tag_rule="midpoint")
-        assert riemann_sum(X_1D, p).value == 0.5
+        assert variant_sum(X_1D, p).value == 0.5
 
     def test_corner_tags_2d_hand_value(self):
         f = ScalarField(2, lambda p: p[..., 0] * p[..., 1])
         p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), (2, 2), "corner")
-        assert riemann_sum(f, p).value == 0.0625
+        assert variant_sum(f, p).value == 0.0625
 
     def test_dimension_mismatch(self):
         p = make_uniform_partition(UNIT, 4)
         with pytest.raises(DimensionMismatch):
-            riemann_sum(SINPROD_2D, p)
+            variant_sum(SINPROD_2D, p)
 
     def test_estimate_provenance(self):
         p = make_uniform_partition(UNIT, 8)
-        est = riemann_sum(X_1D, p)
+        est = variant_sum(X_1D, p)
         assert (est.m, est.mesh, est.variant) == (8, 0.125, "full")
         assert est.deleted_count == 0 and est.symdiff_total == 0.0
 
@@ -73,18 +70,18 @@ class TestDeletedSum:
     def test_drop_one_cell(self):
         p = make_uniform_partition(UNIT, 4)
         plan = DeletionPlan(FixedK(1), Prefix(), resolved=(1,))
-        assert deleted_sum(ONE_1D, p, plan).value == 0.75
+        assert variant_sum(ONE_1D, p, plan=plan).value == 0.75
 
     def test_drop_all_but_one(self):
         p = make_uniform_partition(UNIT, 4)
         plan = DeletionPlan(FixedK(3), Prefix(), resolved=(0, 1, 2))
-        assert deleted_sum(ONE_1D, p, plan).value == 0.25
+        assert variant_sum(ONE_1D, p, plan=plan).value == 0.25
 
     def test_prefix_powerlaw_against_loop(self):
         p = make_uniform_partition(UNIT, 100, tag_rule="midpoint")
         plan = bind_deletion(DeletionPlan(PowerLaw(0.5), Prefix()), p)
-        est = deleted_sum(X_1D, p, plan)
-        full = riemann_sum(X_1D, p)
+        est = variant_sum(X_1D, p, plan=plan)
+        full = variant_sum(X_1D, p)
         removed = math.fsum(p.tags[k, 0] / 100.0 for k in range(10))
         assert abs(est.value - (full.value - removed)) <= 4 * EPS
         assert est.deleted_count == 10
@@ -92,7 +89,7 @@ class TestDeletedSum:
     def test_unbound_plan_rejected(self):
         p = make_uniform_partition(UNIT, 4)
         with pytest.raises(UnboundPlan):
-            deleted_sum(ONE_1D, p, DeletionPlan(FixedK(1), Prefix()))
+            variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(1), Prefix()))
 
 
 class TestPerturbedSum:
@@ -100,17 +97,17 @@ class TestPerturbedSum:
         p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), (5, 3))
         pp = perturb(p, 0.0, seed=3)
         f = ScalarField(2, lambda q: q[..., 0] + q[..., 1])
-        assert perturbed_sum(f, pp).value == riemann_sum(f, p).value
+        assert variant_sum(f, p, perturbation=pp).value == variant_sum(f, p).value
 
     def test_forced_breakpoint_constant(self):
         p = make_uniform_partition(UNIT, 2)
         pp = apply_perturbation(p, [np.array([0.0, 0.55, 1.0])])
-        assert perturbed_sum(ONE_1D, pp).value == 1.0
+        assert variant_sum(ONE_1D, p, perturbation=pp).value == 1.0
 
     def test_forced_breakpoint_linear(self):
         p = make_uniform_partition(UNIT, 2)
         pp = apply_perturbation(p, [np.array([0.0, 0.55, 1.0])])
-        est = perturbed_sum(X_1D, pp)
+        est = variant_sum(X_1D, p, perturbation=pp)
         assert abs(est.value - 0.475) <= 2 * EPS  # 0.25*0.55 + 0.75*0.45 by hand
         assert est.symdiff_total == pp.symdiff_total
 
@@ -120,13 +117,14 @@ class TestCombinedSum:
         p = make_uniform_partition(UNIT, 4)
         pp = perturb(p, 0.0, seed=0)
         plan = DeletionPlan(FixedK(1), Prefix(), resolved=(1,))
-        assert combined_sum(ONE_1D, pp, plan).value == deleted_sum(ONE_1D, p, plan).value
+        combined = variant_sum(ONE_1D, p, plan=plan, perturbation=pp)
+        assert combined.value == variant_sum(ONE_1D, p, plan=plan).value
 
     def test_forced_perturbation_with_prefix_deletion(self):
         p = make_uniform_partition(UNIT, 2)
         pp = apply_perturbation(p, [np.array([0.0, 0.55, 1.0])])
         plan = bind_deletion(DeletionPlan(FixedK(1), Prefix()), p)
-        assert combined_sum(ONE_1D, pp, plan).value == 1.0 - 0.55
+        assert variant_sum(ONE_1D, p, plan=plan, perturbation=pp).value == 1.0 - 0.55
 
     def test_matches_oracle_on_small_instances(self):
         rng = np.random.default_rng(11)
@@ -142,7 +140,7 @@ class TestCombinedSum:
             plan = bind_deletion(
                 DeletionPlan(FixedK(int(rng.integers(1, p.m))), RandomPick(trial)), p
             )
-            est = combined_sum(f, pp, plan)
+            est = variant_sum(f, p, plan=plan, perturbation=pp)
             terms = naive_box_terms(f, p, perturbation=pp)
             expected = naive_total(terms, plan.resolved)
             scale = naive_magnitude(terms, plan.resolved)
@@ -165,7 +163,7 @@ class TestBounds:
             f = ScalarField(dim, fn, bound_M=bound)
             k = int(rng.integers(1, p.m))
             plan = bind_deletion(DeletionPlan(FixedK(k), RandomPick(trial)), p)
-            gap = abs(deleted_sum(f, p, plan).value - riemann_sum(f, p).value)
+            gap = abs(variant_sum(f, p, plan=plan).value - variant_sum(f, p).value)
             assert gap <= len(plan.resolved) * bound * float(np.max(p.measures))
 
     def test_fraction_bound_on_equal_partitions(self):
@@ -180,7 +178,7 @@ class TestBounds:
             fn, bound = random_poly_scalar(rng, dim, axes)
             f = ScalarField(dim, fn, bound_M=bound)
             plan = bind_deletion(DeletionPlan(PowerLaw(0.5), RandomPick(trial)), p)
-            gap = abs(deleted_sum(f, p, plan).value - riemann_sum(f, p).value)
+            gap = abs(variant_sum(f, p, plan=plan).value - variant_sum(f, p).value)
             assert gap <= bound * box.measure * len(plan.resolved) / p.m * (1 + 1e-12)
 
     def test_perturbation_bound_randomized(self):
@@ -196,7 +194,7 @@ class TestBounds:
             fn, bound = random_poly_scalar(rng, dim, axes)
             f = ScalarField(dim, fn, bound_M=bound)
             pp = perturb(p, float(rng.uniform(0, 0.9)), seed=trial + 1)
-            gap = abs(perturbed_sum(f, pp).value - riemann_sum(f, p).value)
+            gap = abs(variant_sum(f, p, perturbation=pp).value - variant_sum(f, p).value)
             assert gap <= bound * pp.symdiff_total + 4 * EPS * bound
 
     def test_estimated_bound_is_flagged(self):
@@ -212,7 +210,8 @@ class TestBounds:
 class TestVariantSum:
     def test_full_matches_riemann(self):
         p = make_uniform_partition(UNIT, 16)
-        assert variant_sum(X_1D, p).value == riemann_sum(X_1D, p).value
+        riemann, _ = neumaier_sum(X_1D(p.tags) * p.measures)
+        assert variant_sum(X_1D, p).value == riemann
 
     def test_largest_term_uses_current_magnitudes(self):
         p = make_uniform_partition(UNIT, 8, tag_rule="midpoint")
@@ -220,7 +219,7 @@ class TestVariantSum:
         est = variant_sum(X_1D, p, spec)
         # the two largest |x * dx| terms sit at the right edge
         plan = DeletionPlan(FixedK(2), Prefix(), resolved=(6, 7))
-        assert est.value == deleted_sum(X_1D, p, plan).value
+        assert est.value == variant_sum(X_1D, p, plan=plan).value
 
     def test_determinism(self):
         p1 = make_uniform_partition(UNIT, 64, "random", seed=4)
@@ -239,13 +238,13 @@ class TestIntegrateRegion:
     def test_disk_area(self):
         one = ScalarField(2, lambda p: np.ones(p.shape[:-1]))
         p = make_uniform_partition(DISK_REGION.param_box, (256, 256))
-        est = integrate_region(one, DISK_REGION, p)
+        est = region_sum(one, DISK_REGION, p)
         assert abs(est.value - math.pi) < 1e-3
 
     def test_ball_volume(self):
         one = ScalarField(3, lambda p: np.ones(p.shape[:-1]))
         p = make_uniform_partition(BALL_REGION.param_box, (64, 64, 64))
-        est = integrate_region(one, BALL_REGION, p)
+        est = region_sum(one, BALL_REGION, p)
         assert abs(est.value - 4.0 * math.pi / 3.0) < 1e-2
 
     def test_identity_map_reduces_to_riemann_sum(self):
@@ -257,24 +256,33 @@ class TestIntegrateRegion:
             jac_det=lambda p: np.ones(p.shape[:-1]),
         )
         p = make_uniform_partition(box, (7, 5), "random", seed=2)
-        est = integrate_region(SINPROD_2D, region, p)
-        assert est.value == riemann_sum(SINPROD_2D, p).value
+        est = region_sum(SINPROD_2D, region, p)
+        assert est.value == variant_sum(SINPROD_2D, p).value
 
     def test_variants_propagate(self):
         one = ScalarField(2, lambda p: np.ones(p.shape[:-1]))
         p = make_uniform_partition(DISK_REGION.param_box, (16, 16))
         plan = bind_deletion(DeletionPlan(FixedK(3), Prefix()), p)
         pp = perturb(p, 0.5, seed=1)
-        assert integrate_region(one, DISK_REGION, p, plan=plan).variant == "deleted"
-        assert integrate_region(one, DISK_REGION, p, perturbation=pp).variant == "perturbed"
-        est = integrate_region(one, DISK_REGION, p, plan=plan, perturbation=pp)
+        assert region_sum(one, DISK_REGION, p, plan=plan).variant == "deleted"
+        assert region_sum(one, DISK_REGION, p, perturbation=pp).variant == "perturbed"
+        est = region_sum(one, DISK_REGION, p, plan=plan, perturbation=pp)
         assert est.variant == "combined" and est.deleted_count == 3
+
+    def test_perturbation_must_be_built_from_p(self):
+        # a perturbation of another partition of a larger box once summed
+        # over that box, 62.14 here, instead of the disk area pi
+        one = ScalarField(2, lambda q: np.ones(q.shape[:-1]))
+        p = make_uniform_partition(DISK_REGION.param_box, (8, 8))
+        q = make_uniform_partition(Box(((0.0, 5.0), (0.0, 5.0))), (8, 8))
+        with pytest.raises(DimensionMismatch):
+            region_sum(one, DISK_REGION, p, perturbation=perturb(q, 0.3, 1))
 
     def test_partition_must_match_param_box(self):
         p = make_uniform_partition(Box(((0.0, 2.0), (0.0, 1.0))), (4, 4))
         one = ScalarField(2, lambda q: np.ones(q.shape[:-1]))
         with pytest.raises(DimensionMismatch):
-            integrate_region(one, DISK_REGION, p)
+            region_sum(one, DISK_REGION, p)
 
 
 class TestConvergenceSmoke:
