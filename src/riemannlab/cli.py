@@ -17,9 +17,7 @@ from .errors import RiemannLabError
 from .geometry import FixedK, LargestTerm, Logarithmic, PowerLaw, Prefix, RandomPick
 from .harness import emit_csv, evaluate_scenario, run_sweep, single_report
 from .quadrature import VariantSpec
-from .scenarios import get_scenario, scenario_names
-
-_THEOREM_KINDS = ("green", "gauss", "stokes")
+from .scenarios import THEOREM_KINDS, get_scenario, scenario_names
 
 
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,11 +141,6 @@ def spec_from_args(args) -> VariantSpec:
     )
 
 
-def _print_config(args) -> int:
-    print(json.dumps(vars(args), sort_keys=True, default=str))
-    return 0
-
-
 def _cmd_list() -> int:
     for name in scenario_names():
         sc = get_scenario(name)
@@ -155,14 +148,20 @@ def _cmd_list() -> int:
     return 0
 
 
+def _scenario_point(args, theorem: bool):
+    """The scenario and its m, once it is known to suit the command."""
+    sc = get_scenario(args.scenario)
+    if (sc.kind in THEOREM_KINDS) != theorem:
+        command = "integrate" if theorem else "verify"
+        raise RiemannLabError(
+            f"{sc.name} is a {sc.kind} scenario; use `riemann-lab {command}`"
+        )
+    return sc, args.m if args.m is not None else sc.default_m
+
+
 def _cmd_integrate(args) -> int:
     spec = spec_from_args(args)
-    sc = get_scenario(args.scenario)
-    if sc.kind in _THEOREM_KINDS:
-        raise RiemannLabError(
-            f"{sc.name} is a {sc.kind} scenario; use `riemann-lab verify`"
-        )
-    m_axis = args.m if args.m is not None else sc.default_m
+    sc, m_axis = _scenario_point(args, theorem=False)
     est = evaluate_scenario(sc, m_axis, spec, tag_rule=args.tags)
     print(f"scenario={sc.name} kind={sc.kind} variant={est.variant}")
     print(
@@ -180,12 +179,7 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = spec_from_args(args)
-    sc = get_scenario(args.scenario)
-    if sc.kind not in _THEOREM_KINDS:
-        raise RiemannLabError(
-            f"{sc.name} is a {sc.kind} scenario; use `riemann-lab integrate`"
-        )
-    m_axis = args.m if args.m is not None else sc.default_m
+    sc, m_axis = _scenario_point(args, theorem=True)
     report = evaluate_scenario(
         sc, m_axis, spec, boundary_m=args.boundary_m, tag_rule=args.tags
     )
@@ -248,17 +242,16 @@ def main(argv=None) -> int:
             return _cmd_list()
         if args.print_config:
             spec_from_args(args)  # flags are validated before any computation
-            return _print_config(args)
-        if args.command == "integrate":
-            return _cmd_integrate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "converge":
-            return _cmd_converge(args)
+            print(json.dumps(vars(args), sort_keys=True, default=str))
+            return 0
+        return {
+            "integrate": _cmd_integrate,
+            "verify": _cmd_verify,
+            "converge": _cmd_converge,
+        }[args.command](args)
     except RiemannLabError as exc:
         print(f"riemann-lab: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

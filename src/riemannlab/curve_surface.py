@@ -9,7 +9,8 @@ come from the one kernel, :func:`riemannlab.quadrature.pieces_sum`.
 :func:`line_sum` and :func:`surface_sum` are the entry points, scalar or
 vector by field type; :func:`line_dots` and :func:`surface_dots` are the
 vector integrands the theorem boundaries sum. Partitions always live on the
-parameter domain, never on the embedded curve/surface itself.
+parameter domain (:func:`parameter_box`), never on the embedded curve or
+surface; each integrand refuses a partition that does not cover it.
 """
 
 from __future__ import annotations
@@ -18,17 +19,31 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fields import ParametricSurface, Path, ScalarField, VectorField
-from .geometry import DeletionPlan, Partition, PerturbedPartition
+from .geometry import Box, DeletionPlan, Partition, PerturbedPartition
 from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum
+
+
+def parameter_box(piece: Path | ParametricSurface) -> Box:
+    """The parameter domain a partition of a path or surface must cover."""
+    return Box((piece.domain,)) if isinstance(piece, Path) else piece.domain
+
+
+def _tags(piece: Path | ParametricSurface, partition: Partition, field_dim: int):
+    """Tags of ``partition``; refuses a partition or field not fitting ``piece``."""
+    kind = "path" if isinstance(piece, Path) else "surface"
+    if partition.parent.axes != parameter_box(piece).axes:
+        raise DimensionMismatch(f"partition must cover the {kind} domain")
+    codim = piece.codim if kind == "path" else 3
+    if field_dim != codim:
+        raise DimensionMismatch(f"field dim {field_dim} != {kind} codomain {codim}")
+    return partition.tags
 
 
 def _scalar_line_integrand(
     f: ScalarField, path: Path, partition: Partition
 ) -> np.ndarray:
     """f(x(t*_k)) ||x'(t*_k)|| at the partition tags (no widths applied)."""
-    if f.dim != path.codim:
-        raise DimensionMismatch(f"field dim {f.dim} != path codomain {path.codim}")
-    t = partition.tags[:, 0]
+    t = _tags(path, partition, f.dim)[:, 0]
     values = np.asarray(f(path.pos(t)), dtype=float)
     speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
     return values * speed
@@ -36,9 +51,7 @@ def _scalar_line_integrand(
 
 def line_dots(F: VectorField, path: Path, partition: Partition) -> np.ndarray:
     """F(x(t*_k)) . x'(t*_k) at the partition tags (no widths applied)."""
-    if F.dim_in != path.codim:
-        raise DimensionMismatch(f"field dim {F.dim_in} != path codomain {path.codim}")
-    t = partition.tags[:, 0]
+    t = _tags(path, partition, F.dim_in)[:, 0]
     return np.sum(
         np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
     )
@@ -48,9 +61,7 @@ def _scalar_surface_integrand(
     f: ScalarField, surface: ParametricSurface, partition: Partition
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f(X(xi_k)) ||N(xi_k)||, ||N(xi_k)|| == 0) at the partition tags."""
-    if f.dim != 3:
-        raise DimensionMismatch("scalar surface sums need a field on R^3")
-    xi = partition.tags
+    xi = _tags(surface, partition, f.dim)
     norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
     values = np.asarray(f(surface.pos(xi)), dtype=float)
     return values * norms, norms == 0.0
@@ -60,9 +71,7 @@ def surface_dots(
     F: VectorField, surface: ParametricSurface, partition: Partition
 ) -> np.ndarray:
     """F(X(xi_k)) . N(xi_k) at the partition tags (no widths applied)."""
-    if F.dim_in != 3:
-        raise DimensionMismatch("vector surface sums need a field on R^3")
-    xi = partition.tags
+    xi = _tags(surface, partition, F.dim_in)
     return np.sum(
         np.asarray(F(surface.pos(xi)), float) * surface.normal(xi), axis=-1
     )
@@ -82,9 +91,6 @@ def line_sum(
     ``perturbation`` (built from ``partition``) wins over what ``spec``
     would resolve; see :func:`riemannlab.quadrature.pieces_sum`.
     """
-    a, b = path.domain
-    if partition.parent.axes != ((float(a), float(b)),):
-        raise DimensionMismatch("partition must cover the path domain")
     integrand = line_dots if isinstance(field, VectorField) else _scalar_line_integrand
     return pieces_sum(
         [integrand(field, path, partition)], [partition], spec, plan, perturbation
@@ -104,8 +110,6 @@ def surface_sum(
     Scalar or vector by field type; ``plan`` and ``perturbation`` are as
     for :func:`line_sum`.
     """
-    if partition.parent.axes != surface.domain.axes:
-        raise DimensionMismatch("partition must cover the surface domain")
     if isinstance(field, VectorField):
         return pieces_sum(
             [surface_dots(field, surface, partition)], [partition], spec, plan,

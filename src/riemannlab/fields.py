@@ -208,7 +208,7 @@ def swap_surface(surface: ParametricSurface) -> ParametricSurface:
     )
 
 
-# --- agreement checks (used by tests and scenario registration) -------------
+# --- agreement checks (used by tests) ---------------------------------------
 
 
 def _sample_box(box: Box, n: int, seed: int) -> np.ndarray:

@@ -6,10 +6,15 @@ between the two sides. The empirical rate is the least-squares slope of
 log|error| against log mesh over the finest rows, with errors floored at
 rounding level before fitting so the slope never chases noise.
 
+:func:`evaluate_scenario` builds every partition of a scenario point: the
+interior one, and one per boundary piece (the region's boundary, or Stokes'
+path) on :func:`~riemannlab.curve_surface.parameter_box` of the piece.
+
 Determinism: the row at index i uses seed ``base_seed + i`` for jitter,
 random tags, and random index selection; theorem boundary sides shift that
-by a large constant so the two sides never share randomness. Re-running a
-sweep with equal inputs produces a byte-identical CSV.
+by a large constant so the two sides never share randomness, and boundary
+piece j adds j. Re-running a sweep with equal inputs produces a
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_surface import line_sum, surface_sum
+from .curve_surface import line_sum, parameter_box, surface_sum
 from .errors import IoFailure, NonMonotoneMList
-from .geometry import Box, make_uniform_partition
-from .quadrature import FULL, SumEstimate, VariantSpec, variant_sum
-from .scenarios import Scenario, get_scenario
+from .geometry import make_uniform_partition
+from .quadrature import FULL, VariantSpec, variant_sum
+from .scenarios import THEOREM_KINDS, Scenario, get_scenario
 from .theorems import TheoremReport, gauss_check, green_check, stokes_check
 
 ERROR_FLOOR_SCALE = 1e-13
@@ -71,76 +76,52 @@ def evaluate_scenario(
     of each boundary patch (2D boundaries); it defaults to the scenario's
     ``boundary_factor * m_axis``.
     """
-    seed = spec.seed
+    if sc.kind not in ("box", "line", "surface", *THEOREM_KINDS):
+        raise ValueError(f"unknown scenario kind {sc.kind!r}")
+    box = sc.box if sc.region is None else sc.region.param_box
+    if box is None:
+        box = parameter_box(sc.surface if sc.surface is not None else sc.path)
+    interior = make_uniform_partition(box, m_axis, tag_rule, spec.seed)
+    if sc.kind == "box":
+        return variant_sum(sc.field, interior, spec)
+    if sc.kind == "line":
+        return line_sum(sc.field, sc.path, interior, spec)
+    if sc.kind == "surface":
+        return surface_sum(sc.field, sc.surface, interior, spec)
     if boundary_m is None:
         boundary_m = sc.boundary_m(m_axis)
     if boundary_spec is None:
-        boundary_spec = spec.with_seed(seed + BOUNDARY_SEED_SHIFT)
-
-    if sc.kind == "box":
-        p = make_uniform_partition(sc.box, m_axis, tag_rule, seed)
-        return variant_sum(sc.field, p, spec)
-    if sc.kind == "line":
-        p = make_uniform_partition(sc.box, m_axis, tag_rule, seed)
-        return line_sum(sc.field, sc.path, p, spec)
-    if sc.kind == "surface":
-        p = make_uniform_partition(sc.surface.domain, m_axis, tag_rule, seed)
-        return surface_sum(sc.field, sc.surface, p, spec)
-    if sc.kind == "green":
-        interior = make_uniform_partition(sc.region.param_box, m_axis, tag_rule, seed)
-        bps = [
-            make_uniform_partition(Box(((path.domain[0], path.domain[1]),)),
-                                   boundary_m, tag_rule, boundary_spec.seed + i)
-            for i, path in enumerate(sc.region.boundary)
-        ]
-        return green_check(
-            sc.field, sc.region, interior, bps, spec, boundary_spec, sc.exact
+        boundary_spec = spec.with_seed(spec.seed + BOUNDARY_SEED_SHIFT)
+    pieces = (sc.path,) if sc.kind == "stokes" else sc.region.boundary
+    bps = [
+        make_uniform_partition(
+            parameter_box(piece), boundary_m, tag_rule, boundary_spec.seed + i
         )
-    if sc.kind == "gauss":
-        interior = make_uniform_partition(sc.region.param_box, m_axis, tag_rule, seed)
-        bps = [
-            make_uniform_partition(
-                surf.domain, boundary_m, tag_rule, boundary_spec.seed + i
-            )
-            for i, surf in enumerate(sc.region.boundary)
-        ]
-        return gauss_check(
-            sc.field, sc.region, interior, bps, spec, boundary_spec, sc.exact
-        )
+        for i, piece in enumerate(pieces)
+    ]
     if sc.kind == "stokes":
-        surf_p = make_uniform_partition(sc.surface.domain, m_axis, tag_rule, seed)
-        a, b = sc.path.domain
-        bp = make_uniform_partition(
-            Box(((a, b),)), boundary_m, tag_rule, boundary_spec.seed
-        )
         return stokes_check(
-            sc.field, sc.surface, surf_p, sc.path, bp, spec, boundary_spec, sc.exact
+            sc.field, sc.surface, interior, sc.path, bps[0], spec, boundary_spec,
+            sc.exact,
         )
-    raise ValueError(f"unknown scenario kind {sc.kind!r}")
+    check = green_check if sc.kind == "green" else gauss_check
+    return check(sc.field, sc.region, interior, bps, spec, boundary_spec, sc.exact)
 
 
 def _row_from_result(result, exact: float, seed: int) -> SweepRow:
+    """One sweep row: a sum, or a theorem's interior side with both sides' counts."""
     if isinstance(result, TheoremReport):
-        lhs, rhs = result.lhs, result.rhs
-        return SweepRow(
-            m=lhs.m,
-            mesh=lhs.mesh,
-            value=lhs.value,
-            abs_error=abs(lhs.value - exact),
-            gap=result.gap,
-            symdiff_total=lhs.symdiff_total + rhs.symdiff_total,
-            deleted_count=lhs.deleted_count + rhs.deleted_count,
-            seed=seed,
-        )
-    est: SumEstimate = result
+        est, gap, sides = result.lhs, result.gap, (result.lhs, result.rhs)
+    else:
+        est, gap, sides = result, None, (result,)
     return SweepRow(
         m=est.m,
         mesh=est.mesh,
         value=est.value,
         abs_error=abs(est.value - exact),
-        gap=None,
-        symdiff_total=est.symdiff_total,
-        deleted_count=est.deleted_count,
+        gap=gap,
+        symdiff_total=sum(side.symdiff_total for side in sides),
+        deleted_count=sum(side.deleted_count for side in sides),
         seed=seed,
     )
 
@@ -158,7 +139,7 @@ def fit_rate(rows, exact: float) -> float | None:
 
 
 def _variant_label(sc: Scenario, spec: VariantSpec, boundary_spec) -> str:
-    if sc.kind in ("green", "gauss", "stokes"):
+    if sc.kind in THEOREM_KINDS:
         bkind = (boundary_spec or spec).kind
         return f"{spec.kind}x{bkind}"
     return spec.kind
@@ -189,9 +170,7 @@ def run_sweep(
     for i, m_axis in enumerate(m_list):
         row_seed = seed + i
         row_spec = spec.with_seed(row_seed)
-        row_bspec = None
-        if boundary_spec is not None:
-            row_bspec = boundary_spec.with_seed(row_seed + BOUNDARY_SEED_SHIFT)
+        row_bspec = (boundary_spec or row_spec).with_seed(row_seed + BOUNDARY_SEED_SHIFT)
         result = evaluate_scenario(
             sc, m_axis, row_spec, boundary_m, row_bspec, tag_rule
         )

@@ -173,8 +173,11 @@ def pieces_sum(
     ``spec`` selects the deleted indices (LargestTerm ranks |integrand x
     base measure|) and jitters piece i with seed ``spec.seed + i``. Keeping
     a cell marked ``degenerate`` (vanishing surface normal) raises
-    DegenerateNormal.
+    DegenerateNormal. An empty list of pieces (a region declared without
+    boundary, say) is refused with DimensionMismatch.
     """
+    if not partitions:
+        raise DimensionMismatch("a sum needs at least one piece")
     if perturbation is not None and (
         len(partitions) != 1 or perturbation.base is not partitions[0]
     ):

@@ -25,6 +25,7 @@ from .fields import (
 from .geometry import Box
 
 TWO_PI = 2.0 * math.pi
+THEOREM_KINDS = ("green", "gauss", "stokes")  # the kinds checked two-sided
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +37,7 @@ class Scenario:
     exact: float
     note: str  # provenance of the exact value
     field: ScalarField | VectorField | None = None
-    box: Box | None = None
+    box: Box | None = None  # box kind; other kinds sum over their parameter domain
     path: Path | None = None
     surface: ParametricSurface | None = None
     region: ParametricRegion | None = None
@@ -84,7 +85,6 @@ _POLAR_BOX = Box(((0.0, 1.0), (0.0, TWO_PI)))
 _SPHERICAL_BOX = Box(((0.0, 1.0), (0.0, math.pi), (0.0, TWO_PI)))
 _SPHERE_BOX = Box(((0.0, math.pi), (0.0, TWO_PI)))
 _HEMISPHERE_BOX = Box(((0.0, math.pi / 2.0), (0.0, TWO_PI)))
-_CIRCLE_BOX = Box(((0.0, TWO_PI),))
 
 
 def _zeros(p):
@@ -350,7 +350,6 @@ register_scenario(
         note="arc length of the unit circle",
         field=UNIT_SPEED_2D,
         path=CIRCLE_2D,
-        box=_CIRCLE_BOX,
         default_m=1024,
         tolerances=(("full", 1e-9),),
     )
@@ -364,7 +363,6 @@ register_scenario(
         note="circulation of (-y, x) around the unit circle = 2 * area",
         field=ROTATION_2D,
         path=CIRCLE_2D,
-        box=_CIRCLE_BOX,
         default_m=1024,
         tolerances=(("full", 1e-9),),
     )

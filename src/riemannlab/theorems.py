@@ -2,12 +2,15 @@
 
 Each check computes the interior/differential side and the boundary side of
 the identity with independently configured sum variants (independent
-deletion index sets and jitters per side), verifies the declared boundary
-orientation with a probe field, and reports both values plus their gap.
-
-A multi-piece boundary is one call to the variant kernel,
-:func:`riemannlab.quadrature.pieces_sum`: its pieces share one index space
+deletion index sets and jitters per side) and reports both values plus
+their gap. The three checks share one boundary path, :func:`_two_sided`.
+The boundary is a list of curves or surfaces, one partition per piece (each
+checked to cover its piece), summed in one call to the variant kernel,
+:func:`riemannlab.quadrature.pieces_sum`: the pieces share one index space
 for deletion, and a perturbation jitters piece i with seed ``spec.seed + i``.
+Its orientation is checked by one rule: a probe field's boundary side must
+have the sign of its interior side, which is an area or a volume (positive,
+as ``jac_det >= 0``) for Green and Gauss and the probe's curl flux for Stokes.
 """
 
 from __future__ import annotations
@@ -53,78 +56,68 @@ class TheoremReport:
             raise ValueError("gap must be finite and nonnegative")
 
 
-def _report(theorem, lhs, rhs, lhs_spec, rhs_spec, reference):
-    gap = abs(lhs.value - rhs.value)
-    lhs_err = abs(lhs.value - reference) if reference is not None else None
-    rhs_err = abs(rhs.value - reference) if reference is not None else None
-    return TheoremReport(
-        theorem=theorem,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        lhs_variant=lhs_spec.kind,
-        rhs_variant=rhs_spec.kind,
-        reference=reference,
-        lhs_error=lhs_err,
-        rhs_error=rhs_err,
-    )
-
-
-# --- concatenated boundary sums ----------------------------------------------
-
-
-def _boundary_circulation(F, paths, partitions, spec) -> SumEstimate:
-    dots = [line_dots(F, path, part) for path, part in zip(paths, partitions)]
-    return pieces_sum(dots, partitions, spec)
-
-
-def _boundary_flux(F, surfaces, partitions, spec) -> SumEstimate:
-    dots = [surface_dots(F, surf, part) for surf, part in zip(surfaces, partitions)]
-    return pieces_sum(dots, partitions, spec)
-
-
-# --- orientation probes -------------------------------------------------------
+# --- the shared boundary path ---------------------------------------------------
 
 _AREA_PROBE = VectorField(
     2, 2, lambda p: np.stack([-p[..., 1], p[..., 0]], axis=-1) / 2.0
 )
-_VOLUME_PROBE = VectorField(3, 3, lambda p: p / 3.0, div=lambda p: np.ones(p.shape[:-1]))
+_VOLUME_PROBE = VectorField(3, 3, lambda p: p / 3.0)
 _DISK_PROBE = VectorField(
     3,
     3,
     lambda p: np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1) / 2.0,
-    curl=lambda p: np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape).copy(),
+)
+_DISK_PROBE_CURL = VectorField(
+    3, 3, lambda p: np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape).copy()
 )
 
+# theorem -> (orientation probe, what a failing probe asks of the boundary)
+_PROBES = {
+    "green": (_AREA_PROBE, "curves must keep the region on the left"),
+    "gauss": (_VOLUME_PROBE, "surface normals must point away from the solid"),
+    "stokes": (_DISK_PROBE, "the boundary must be oriented consistently with the surface"),
+}
 
-def _check_green_orientation(paths, partitions):
-    probe = _boundary_circulation(_AREA_PROBE, paths, partitions, FULL)
-    if not probe.value > 0.0:
+
+def _boundary_sum(F, pieces, partitions, spec) -> SumEstimate:
+    """F summed over boundary curves or surfaces, one partition per piece."""
+    if len(pieces) != len(partitions):
+        raise DimensionMismatch("one boundary partition per boundary piece required")
+    dots = [
+        (line_dots if isinstance(piece, Path) else surface_dots)(F, piece, part)
+        for piece, part in zip(pieces, partitions)
+    ]
+    return pieces_sum(dots, partitions, spec)
+
+
+def _two_sided(
+    theorem, F, interior, pieces, partitions, lhs_spec, rhs_spec, reference,
+    probe_interior=None,
+) -> TheoremReport:
+    """Check the boundary orientation, then compute and report both sides.
+
+    ``interior(lhs_spec)`` computes the interior side. ``probe_interior`` is
+    the probe's interior side; None means it is known to be positive.
+    """
+    pieces, partitions = list(pieces), list(partitions)
+    probe, hint = _PROBES[theorem]
+    boundary = _boundary_sum(probe, pieces, partitions, FULL).value
+    sign = 1.0 if probe_interior is None else probe_interior
+    if not sign * boundary > 0.0:
+        side = "positive" if probe_interior is None else probe_interior
         raise OrientationCheckFailed(
-            f"boundary circulation of the area probe is {probe.value}; "
-            "curves must keep the region on the left"
+            f"{theorem} orientation probe: boundary side {boundary} does not have "
+            f"the sign of the interior side ({side}); {hint}"
         )
-
-
-def _check_gauss_orientation(surfaces, partitions):
-    probe = _boundary_flux(_VOLUME_PROBE, surfaces, partitions, FULL)
-    if not probe.value > 0.0:
-        raise OrientationCheckFailed(
-            f"boundary flux of the volume probe is {probe.value}; "
-            "surface normals must point away from the solid"
-        )
-
-
-def _check_stokes_orientation(surface, surf_partition, path, path_partition):
-    curl_probe = VectorField(3, 3, _DISK_PROBE.curl)
-    lhs = surface_sum(curl_probe, surface, surf_partition, FULL)
-    rhs = _boundary_circulation(_DISK_PROBE, [path], [path_partition], FULL)
-    if not lhs.value * rhs.value > 0.0:
-        raise OrientationCheckFailed(
-            f"probe sides disagree in sign (surface {lhs.value}, boundary "
-            f"{rhs.value}); the boundary must be oriented consistently with "
-            "the surface"
-        )
+    lhs = interior(lhs_spec)
+    rhs = _boundary_sum(F, pieces, partitions, rhs_spec)
+    errors = (None, None)
+    if reference is not None:
+        errors = (abs(lhs.value - reference), abs(rhs.value - reference))
+    gap = abs(lhs.value - rhs.value)
+    return TheoremReport(
+        theorem, lhs, rhs, gap, lhs_spec.kind, rhs_spec.kind, reference, *errors
+    )
 
 
 # --- the three checks ---------------------------------------------------------
@@ -147,16 +140,11 @@ def green_check(
     """
     if F.dim_in != 2 or region.dim != 2:
         raise DimensionMismatch("green_check needs a 2D field and region")
-    paths = list(region.boundary)
-    partitions = list(boundary_partitions)
-    if len(paths) != len(partitions):
-        raise DimensionMismatch("one boundary partition per boundary curve required")
-    _check_green_orientation(paths, partitions)
-
     integrand = ScalarField(2, fn=lambda xy: plane_curl(F, xy))
-    lhs = region_sum(integrand, region, interior_partition, interior_spec)
-    rhs = _boundary_circulation(F, paths, partitions, boundary_spec)
-    return _report("green", lhs, rhs, interior_spec, boundary_spec, reference)
+    return _two_sided(
+        "green", F, lambda spec: region_sum(integrand, region, interior_partition, spec),
+        region.boundary, boundary_partitions, interior_spec, boundary_spec, reference,
+    )
 
 
 def gauss_check(
@@ -171,16 +159,11 @@ def gauss_check(
     """Compare both sides of the divergence theorem on a 3D solid."""
     if F.dim_in != 3 or solid.dim != 3:
         raise DimensionMismatch("gauss_check needs a 3D field and solid")
-    surfaces = list(solid.boundary)
-    partitions = list(boundary_partitions)
-    if len(surfaces) != len(partitions):
-        raise DimensionMismatch("one boundary partition per boundary surface required")
-    _check_gauss_orientation(surfaces, partitions)
-
     integrand = ScalarField(3, fn=lambda x: divergence(F, x))
-    lhs = region_sum(integrand, solid, interior_partition, interior_spec)
-    rhs = _boundary_flux(F, surfaces, partitions, boundary_spec)
-    return _report("gauss", lhs, rhs, interior_spec, boundary_spec, reference)
+    return _two_sided(
+        "gauss", F, lambda spec: region_sum(integrand, solid, interior_partition, spec),
+        solid.boundary, boundary_partitions, interior_spec, boundary_spec, reference,
+    )
 
 
 def stokes_check(
@@ -196,9 +179,10 @@ def stokes_check(
     """Compare both sides of Stokes' theorem on a parametrized surface."""
     if F.dim_in != 3:
         raise DimensionMismatch("stokes_check needs a 3D field")
-    _check_stokes_orientation(surface, surface_partition, boundary, boundary_partition)
-
-    curl_field = VectorField(3, 3, fn=lambda x: curl(F, x))
-    lhs = surface_sum(curl_field, surface, surface_partition, surface_spec)
-    rhs = _boundary_circulation(F, [boundary], [boundary_partition], boundary_spec)
-    return _report("stokes", lhs, rhs, surface_spec, boundary_spec, reference)
+    probe_flux = surface_sum(_DISK_PROBE_CURL, surface, surface_partition, FULL).value
+    curl_F = VectorField(3, 3, fn=lambda x: curl(F, x))
+    return _two_sided(
+        "stokes", F, lambda spec: surface_sum(curl_F, surface, surface_partition, spec),
+        [boundary], [boundary_partition], surface_spec, boundary_spec, reference,
+        probe_flux,
+    )

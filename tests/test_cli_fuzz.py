@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from riemannlab import cli
 from riemannlab.quadrature import VARIANTS
-from riemannlab.scenarios import get_scenario, scenario_names
+from riemannlab.scenarios import THEOREM_KINDS, get_scenario, scenario_names
 
 SCENARIOS = sorted(scenario_names()) + ["no.such.scenario"]
-THEOREMS = [n for n in SCENARIOS[:-1] if get_scenario(n).kind in cli._THEOREM_KINDS]
+THEOREMS = [n for n in SCENARIOS[:-1] if get_scenario(n).kind in THEOREM_KINDS]
 ONE_SIDED = [n for n in SCENARIOS[:-1] if n not in THEOREMS]
 FITS = {"integrate": ONE_SIDED, "verify": THEOREMS, "converge": SCENARIOS[:-1]}
 GAMMAS = [0.0, 0.5, 0.999999, -0.1, 1.0, math.nan, 1e-300]

@@ -1,0 +1,41 @@
+"""Every module-level import in the package is used, or says why not.
+
+An import whose bound name appears nowhere else in its module fails this
+test, unless its line carries ``# noqa: F401`` (a binding kept for other
+code to find, such as the benchmark's tracing wrappers).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "riemannlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"line {alias.lineno}: {bound}")
+    return unused
+
+
+def test_guard_finds_an_unused_import():
+    source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
+    assert unused_imports(source) == ["line 1: os", "line 3: tau"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

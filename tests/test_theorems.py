@@ -6,6 +6,7 @@ import pytest
 
 from riemannlab import (
     Box,
+    DimensionMismatch,
     EqualPartitionRequired,
     FixedK,
     OrientationCheckFailed,
@@ -24,6 +25,7 @@ from riemannlab import (
     swap_surface,
 )
 from riemannlab.harness import evaluate_scenario, run_sweep
+from riemannlab.quadrature import pieces_sum
 from riemannlab.scenarios import (
     CIRCLE_3D,
     DISK_PATCH,
@@ -90,7 +92,7 @@ class TestGreen:
 
     def test_boundary_partition_count_must_match(self):
         interior, bps = disk_partitions(8, 64)
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatch):
             green_check(ROTATION_2D, DISK_REGION, interior, [])
 
 
@@ -177,6 +179,64 @@ class TestStokes:
         bp = make_uniform_partition(Box(((0.0, TWO_PI),)), 128)
         with pytest.raises(OrientationCheckFailed):
             stokes_check(sc.field, flipped, surf_p, sc.path, bp)
+
+
+class TestInputErrors:
+    """Inputs every theorem check refuses before it sums anything wrong."""
+
+    @staticmethod
+    def _miss(kind):
+        """A check whose boundary partition covers [0,1]^d, not its piece."""
+        if kind == "green":
+            interior = make_uniform_partition(DISK_REGION.param_box, 16)
+            unit = make_uniform_partition(Box(((0.0, 1.0),)), 512)
+            return lambda: green_check(ROTATION_2D, DISK_REGION, interior, [unit])
+        if kind == "gauss":
+            sc = get_scenario("gauss.ball.identity")
+            interior = make_uniform_partition(sc.region.param_box, 8)
+            square = make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), 16)
+            return lambda: gauss_check(sc.field, sc.region, interior, [square])
+        sc = get_scenario("stokes.disk.rotation")
+        surf_p = make_uniform_partition(sc.surface.domain, 16)
+        unit = make_uniform_partition(Box(((0.0, 1.0),)), 512)
+        return lambda: stokes_check(sc.field, sc.surface, surf_p, sc.path, unit)
+
+    @pytest.mark.parametrize("kind", ["green", "gauss", "stokes"])
+    def test_boundary_partition_must_cover_its_piece(self, kind):
+        with pytest.raises(DimensionMismatch, match="must cover"):
+            self._miss(kind)()
+
+    def test_region_without_boundary_is_refused(self):
+        ball = get_scenario("gauss.ball.identity")
+        disk_r, ball_r = DISK_REGION, ball.region
+        bare_disk = ParametricRegion(2, disk_r.param_box, disk_r.mapping, disk_r.jac_det)
+        bare_ball = ParametricRegion(3, ball_r.param_box, ball_r.mapping, ball_r.jac_det)
+        disk_p = make_uniform_partition(disk_r.param_box, 8)
+        ball_p = make_uniform_partition(ball_r.param_box, 4)
+        with pytest.raises(DimensionMismatch):
+            green_check(ROTATION_2D, bare_disk, disk_p, [])
+        with pytest.raises(DimensionMismatch):
+            gauss_check(ball.field, bare_ball, ball_p, [])
+        with pytest.raises(DimensionMismatch):
+            pieces_sum([], [])
+
+    def test_green_refuses_a_3d_field(self):
+        interior, bps = disk_partitions(8, 64)
+        field = get_scenario("stokes.disk.rotation").field
+        with pytest.raises(DimensionMismatch):
+            green_check(field, DISK_REGION, interior, bps)
+
+    def test_gauss_refuses_a_2d_region(self):
+        interior, bps = disk_partitions(8, 64)
+        field = get_scenario("gauss.ball.identity").field
+        with pytest.raises(DimensionMismatch):
+            gauss_check(field, DISK_REGION, interior, bps)
+
+    def test_stokes_refuses_a_2d_field(self):
+        surf_p = make_uniform_partition(DISK_PATCH.domain, (16, 16))
+        bp = make_uniform_partition(Box(((0.0, TWO_PI),)), 128)
+        with pytest.raises(DimensionMismatch):
+            stokes_check(ROTATION_2D, DISK_PATCH, surf_p, CIRCLE_3D, bp)
 
 
 class TestClauseStructure:
