@@ -28,7 +28,7 @@ p2 = make_uniform_partition(box, 2)
 pp2 = apply_perturbation(p2, [np.array([0.0, 0.55, 1.0])])
 print("  base measures     ", p2.measures)
 print("  perturbed measures", pp2.measures)
-print("  per-cell symdiff  ", pp2.symdiff, " total", pp2.symdiff_total)
+print("  symdiff_total     ", pp2.symdiff_total)
 
 print()
 print("random jitter at amplitude gamma = 0.5, refining the mesh:")

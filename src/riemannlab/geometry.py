@@ -236,19 +236,18 @@ def make_uniform_partition(
 
 @dataclass(frozen=True, eq=False)
 class PerturbedPartition:
-    """A jittered copy of a partition with exact symmetric-difference data.
+    """A jittered copy of a partition with its total symmetric difference.
 
     Cell k of the perturbed family is the product of the k-th perturbed axis
-    segments; ``symdiff[k] = m(I_k ^ I~_k)`` is computed by per-axis interval
-    arithmetic, never by sampling, and dominates ``|m(I~_k) - m(I_k)|``.
-    Tags are inherited from the base partition and verified to lie in the
-    intersection of base and perturbed cells.
+    segments. ``symdiff_total = sum_k m(I_k ^ I~_k)`` comes from per-axis
+    segment overlaps by interval arithmetic, never by sampling, and dominates
+    ``sum_k |m(I~_k) - m(I_k)|``. Tags are inherited from the base partition
+    and verified to lie in the intersection of base and perturbed cells.
     """
 
     base: Partition
     breakpoints: tuple[np.ndarray, ...]
     axis_widths: tuple[np.ndarray, ...]
-    symdiff: np.ndarray
     symdiff_total: float
 
     @cached_property
@@ -261,7 +260,9 @@ def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
     """Pair ``p`` with explicit perturbed breakpoints (the forced-grid hook).
 
     Endpoints must match the parent box and segment counts must match the
-    base. Raises :class:`TagEscape` if any base tag falls outside the
+    base. ``symdiff_total`` is assembled from compensated per-axis sums of
+    segment widths and overlaps, in O(sum of counts) work; no per-cell array
+    is built. Raises :class:`TagEscape` if any base tag falls outside the
     intersection of its base and perturbed cell.
     """
     pert = _validate_breakpoints(p.parent, breakpoints)
@@ -271,29 +272,32 @@ def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
     # Segments whose endpoints did not move keep the base's stored width and
     # overlap fully, so unjittered cells contribute exactly zero symmetric
     # difference (and gamma = 0 reproduces the base partition bitwise).
+    # Adding axis a turns a cell's prod(w) - prod(o) into
+    # (prod(w) - prod(o)) * w_a + prod(o) * (w_a - o_a); summed over all cells,
+    # every factor is a per-axis sum and none is negative (o <= w), so the
+    # totals t0 (base side) and t1 (perturbed side) never cancel.
     pert_widths = []
-    overlaps = []
-    for b0, b1, w0 in zip(p.breakpoints, pert, p.axis_widths):
+    t0 = t1 = 0.0
+    o_sum = 1.0
+    for axis, (b0, b1, w0) in enumerate(zip(p.breakpoints, pert, p.axis_widths)):
         unchanged = (b1[:-1] == b0[:-1]) & (b1[1:] == b0[1:])
         w1 = np.where(unchanged, w0, np.diff(b1))
         raw = np.minimum(b0[1:], b1[1:]) - np.maximum(b0[:-1], b1[:-1])
         ov = np.minimum(np.maximum(raw, 0.0), np.minimum(w0, w1))
+        ov = np.where(unchanged, w0, ov)
         pert_widths.append(w1)
-        overlaps.append(np.where(unchanged, w0, ov))
-    pert_widths = tuple(pert_widths)
-
-    # Only symdiff stays alive through its reduction: holding the perturbed
-    # measures and the overlaps as well would add two m-length arrays to the
-    # peak memory of every perturbed sum.
-    overlap = _outer_product(overlaps)
-    symdiff = (p.measures - overlap) + (_outer_product(pert_widths) - overlap)
-    del overlap
-    total, _ = neumaier_sum(symdiff)
+        if axis:  # t0 and t1 are still 0 on the first axis
+            t0 *= neumaier_sum(w0)[0]
+            t1 *= neumaier_sum(w1)[0]
+        t0 += o_sum * neumaier_sum(w0 - ov)[0]
+        t1 += o_sum * neumaier_sum(w1 - ov)[0]
+        if axis + 1 < p.dim:  # only later axes read o_sum
+            o_sum *= neumaier_sum(ov)[0]
 
     axis = _escaped_axis(p.tag_grid, pert)
     if axis is not None:
         raise TagEscape(f"axis {axis}: a base tag left the base/perturbed intersection")
-    return PerturbedPartition(p, pert, pert_widths, symdiff, total)
+    return PerturbedPartition(p, pert, tuple(pert_widths), t0 + t1)
 
 
 def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_surface import line_sum, parameter_box, surface_sum
-from .errors import IoFailure, NonMonotoneMList
+from .errors import IoFailure, NonMonotoneMList, RiemannLabError
 from .geometry import make_uniform_partition
 from .quadrature import FULL, VariantSpec, variant_sum
 from .scenarios import THEOREM_KINDS, Scenario, get_scenario
@@ -74,10 +74,16 @@ def evaluate_scenario(
     ``m_axis`` is cells per axis of the interior/parameter partition.
     ``boundary_m`` is cells per boundary curve (1D boundaries) or per axis
     of each boundary patch (2D boundaries); it defaults to the scenario's
-    ``boundary_factor * m_axis``.
+    ``boundary_factor * m_axis``. Scenarios that are not theorem checks have
+    no boundary, and refuse a ``boundary_m``.
     """
     if sc.kind not in ("box", "line", "surface", *THEOREM_KINDS):
         raise ValueError(f"unknown scenario kind {sc.kind!r}")
+    if boundary_m is not None and sc.kind not in THEOREM_KINDS:
+        raise RiemannLabError(
+            f"{sc.name} is a {sc.kind} scenario with no boundary; boundary_m "
+            f"applies only to {', '.join(THEOREM_KINDS)} scenarios"
+        )
     box = sc.box if sc.region is None else sc.region.param_box
     if box is None:
         box = parameter_box(sc.surface if sc.surface is not None else sc.path)

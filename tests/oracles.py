@@ -90,6 +90,37 @@ def naive_surface_terms(field, surface, partition, perturbation=None, vector=Fal
     return terms
 
 
+def naive_symdiff(base, perturbed) -> list[float]:
+    """Per-cell m(I_k ^ I~_k) of a perturbation, one cell at a time.
+
+    Cell measures are products of the stored axis widths of each side. On
+    each axis the shared length is the overlap of the two segments: all of
+    the base width when the segment did not move, else the length of the
+    intersection, never more than either width. Then
+    m(I ^ I~) = (m(I) - m(I & I~)) + (m(I~) - m(I & I~)).
+    """
+    breaks0 = [b.tolist() for b in base.breakpoints]
+    breaks1 = [b.tolist() for b in perturbed.breakpoints]
+    widths0 = [w.tolist() for w in base.axis_widths]
+    widths1 = [w.tolist() for w in perturbed.axis_widths]
+    out = []
+    for k in range(base.m):
+        m0 = m1 = shared = 1.0
+        for axis, j in enumerate(unravel(k, base.counts)):
+            lo0, hi0 = breaks0[axis][j], breaks0[axis][j + 1]
+            lo1, hi1 = breaks1[axis][j], breaks1[axis][j + 1]
+            w0, w1 = widths0[axis][j], widths1[axis][j]
+            if (lo0, hi0) == (lo1, hi1):
+                overlap = w0
+            else:
+                overlap = min(max(min(hi0, hi1) - max(lo0, lo1), 0.0), w0, w1)
+            m0 = m0 * w0
+            m1 = m1 * w1
+            shared = shared * overlap
+        out.append((m0 - shared) + (m1 - shared))
+    return out
+
+
 def naive_total(terms, deleted=()) -> float:
     dropped = set(deleted)
     return math.fsum(t for k, t in enumerate(terms) if k not in dropped)

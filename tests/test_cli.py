@@ -134,6 +134,15 @@ class TestConverge:
         res = invoke("converge", "box.sinprod.2d", "--m-list", "16,8")
         assert res.returncode == 2
 
+    def test_boundary_m_without_a_boundary_is_usage_error(self):
+        res = invoke(
+            "converge", "line.circle.rotation", "--m-list", "4,8,16",
+            "--boundary-m", "-3",
+        )
+        assert res.returncode == 2
+        assert "no boundary" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestPrintConfig:
     def test_round_trip(self):

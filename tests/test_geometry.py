@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from riemannlab import (
     schedule_count,
 )
 
-from oracles import unravel
+from oracles import naive_symdiff, unravel
 
 UNIT = Box(((0.0, 1.0),))
 
@@ -191,7 +193,53 @@ class TestPerturbation:
             rule = ("midpoint", "corner", "random")[trial % 3]
             p = make_uniform_partition(box, counts, tag_rule=rule, seed=trial)
             pp = perturb(p, float(rng.uniform(0, 0.95)), seed=trial)
-            assert np.all(pp.symdiff >= np.abs(pp.measures - p.measures))
+            symdiff = np.array(naive_symdiff(p, pp))
+            assert np.all(symdiff >= np.abs(pp.measures - p.measures))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("rule", ["midpoint", "corner", "random"])
+    def test_symdiff_total_matches_per_cell_oracle(self, rule, gamma):
+        # The per-cell reference prod(w) - prod(o) cancels and the per-axis
+        # total does not, so the tolerance scales with the measures summed,
+        # not with the symmetric difference.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            dim = int(rng.integers(1, 4))
+            axes, breaks = [], []
+            for _ in range(dim):
+                lo = float(rng.uniform(-3, 2))
+                hi = lo + float(rng.uniform(0.5, 4))
+                inner = np.sort(rng.uniform(lo, hi, size=int(rng.integers(1, 8))))
+                axes.append((lo, hi))
+                breaks.append(np.concatenate([[lo], inner, [hi]]))
+            box = Box(tuple(axes))
+            if trial % 2:
+                p = make_partition(box, breaks, tag_rule=rule, seed=trial)
+            else:
+                counts = [len(b) - 1 for b in breaks]
+                p = make_uniform_partition(box, counts, tag_rule=rule, seed=trial)
+            pp = perturb(p, gamma, seed=trial)
+            if gamma == 0.0:
+                assert pp.symdiff_total == 0.0
+            reference = math.fsum(naive_symdiff(p, pp))
+            scale = math.fsum(p.measures.tolist()) + math.fsum(pp.measures.tolist())
+            assert abs(pp.symdiff_total - reference) <= 4 * dim * eps * scale
+
+    def test_keeps_per_axis_state_only(self):
+        p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), 512)
+        tracemalloc.start()
+        try:
+            pp = perturb(p, 0.5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p.m  # less than one m-length float array
+        for field in dataclasses.fields(pp):
+            value = getattr(pp, field.name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    assert len(item) <= max(p.counts) + 1, field.name
 
     def test_tags_stay_in_intersection(self):
         rng = np.random.default_rng(7)
@@ -241,7 +289,8 @@ class TestPerturbation:
         a = perturb(p1, 0.5, seed=13)
         b = perturb(p2, 0.5, seed=13)
         np.testing.assert_array_equal(a.breakpoints[0], b.breakpoints[0])
-        np.testing.assert_array_equal(a.symdiff, b.symdiff)
+        np.testing.assert_array_equal(a.axis_widths[0], b.axis_widths[0])
+        assert naive_symdiff(p1, a) == naive_symdiff(p2, b)
         assert a.symdiff_total == b.symdiff_total
 
 

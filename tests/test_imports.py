@@ -1,8 +1,9 @@
-"""Every module-level import in the package is used, or says why not.
+"""Every module-level import is used, or says why not.
 
-An import whose bound name appears nowhere else in its module fails this
-test, unless its line carries ``# noqa: F401`` (a binding kept for other
-code to find, such as the benchmark's tracing wrappers).
+This covers the package, the tests and the demos. An import whose bound
+name appears nowhere else in its module fails this test, unless its line
+carries ``# noqa: F401`` (a binding kept for other code to find, such as the
+benchmark's tracing wrappers).
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "riemannlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "riemannlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,6 +39,10 @@ def test_guard_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 3: tau"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
