@@ -14,16 +14,24 @@ import json
 import sys
 
 from .errors import RiemannLabError
-from .geometry import FixedK, LargestTerm, Logarithmic, PowerLaw, Prefix, RandomPick
+from .geometry import (
+    TAG_RULES,
+    FixedK,
+    LargestTerm,
+    Logarithmic,
+    PowerLaw,
+    Prefix,
+    RandomPick,
+)
 from .harness import emit_csv, evaluate_scenario, run_sweep, single_report
-from .quadrature import VariantSpec
+from .quadrature import VARIANTS, VariantSpec
 from .scenarios import THEOREM_KINDS, get_scenario, scenario_names
 
 
 def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--variant",
-        choices=("full", "deleted", "perturbed", "combined"),
+        choices=VARIANTS,
         default="full",
         help="which sum variant to run (default: full)",
     )
@@ -51,7 +59,7 @@ def _add_variant_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--tags",
-        choices=("midpoint", "corner", "random"),
+        choices=TAG_RULES,
         default="midpoint",
         help="tag rule for evaluation points (default: midpoint)",
     )

@@ -59,10 +59,7 @@ class Box:
 
     @property
     def measure(self) -> float:
-        out = 1.0
-        for lo, hi in self.axes:
-            out *= hi - lo
-        return out
+        return math.prod(hi - lo for lo, hi in self.axes)
 
 
 def _grid_stack(per_axis) -> np.ndarray:
@@ -108,10 +105,7 @@ class Partition:
 
     @property
     def m(self) -> int:
-        out = 1
-        for c in self.counts:
-            out *= c
-        return out
+        return math.prod(self.counts)
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -146,11 +140,9 @@ def _validate_breakpoints(box: Box, breakpoints) -> tuple[np.ndarray, ...]:
 
 
 def _check_cell_cap(counts) -> int:
-    m = 1
-    for c in counts:
-        m *= int(c)
-        if m > MAX_CELLS:
-            raise CountOverflow(f"cell count exceeds cap {MAX_CELLS}")
+    m = math.prod(int(c) for c in counts)
+    if m > MAX_CELLS:
+        raise CountOverflow(f"cell count exceeds cap {MAX_CELLS}")
     return m
 
 
@@ -260,9 +252,9 @@ def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
     """Pair ``p`` with explicit perturbed breakpoints (the forced-grid hook).
 
     Endpoints must match the parent box and segment counts must match the
-    base. ``symdiff_total`` is assembled from compensated per-axis sums of
-    segment widths and overlaps, in O(sum of counts) work; no per-cell array
-    is built. Raises :class:`TagEscape` if any base tag falls outside the
+    base. ``symdiff_total`` is assembled from correctly rounded per-axis sums
+    of segment widths and overlaps, in O(sum of counts) work; no per-cell
+    array is built. Raises :class:`TagEscape` if any base tag falls outside the
     intersection of its base and perturbed cell.
     """
     pert = _validate_breakpoints(p.parent, breakpoints)

@@ -216,23 +216,11 @@ def render_csv(report: ConvergenceReport) -> str:
     """The report as CSV text: fixed header, shortest round-trip decimals."""
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    report.scenario,
-                    report.kind,
-                    report.variant,
-                    str(r.m),
-                    _fmt(r.mesh),
-                    _fmt(r.value),
-                    _fmt(r.abs_error),
-                    _fmt(r.gap),
-                    _fmt(r.symdiff_total),
-                    str(r.deleted_count),
-                    str(r.seed),
-                ]
-            )
+        fields = (
+            report.scenario, report.kind, report.variant, r.m, r.mesh, r.value,
+            r.abs_error, r.gap, r.symdiff_total, r.deleted_count, r.seed,
         )
+        lines.append(",".join(_fmt(x) for x in fields))
     return "\n".join(lines) + "\n"
 
 

@@ -9,8 +9,8 @@ combined    perturbed measures and a deletion plan together
 region, line, surface and theorem-boundary sums only produce integrands at
 their tags and hand them to it, with the partitions they live on. It
 resolves deletion once over one index space, weights by base or perturbed
-cell measures, and accumulates in ascending cell order with compensated
-summation, so equal inputs give bit-identical estimates.
+cell measures, and reduces to the correctly rounded, order-independent sum,
+so equal inputs give bit-identical estimates.
 
 Each integral has one entry point (:func:`variant_sum`, :func:`region_sum`
 here; ``line_sum`` and ``surface_sum`` in :mod:`riemannlab.curve_surface`).
@@ -48,7 +48,11 @@ VARIANTS = ("full", "deleted", "perturbed", "combined")
 
 @dataclass(frozen=True)
 class SumEstimate:
-    """One quadrature result with full provenance."""
+    """One quadrature result with full provenance.
+
+    ``value`` is the correctly rounded sum of the terms; ``compensation_residual``
+    is ``value`` minus their plain float sum in ascending cell order.
+    """
 
     value: float
     m: int

@@ -21,6 +21,7 @@ from .fields import (
     Path,
     ScalarField,
     VectorField,
+    swap_surface,
 )
 from .geometry import Box
 
@@ -194,46 +195,40 @@ BALL_REGION = ParametricRegion(
 )
 
 
-def _axis_patch(const_axis: int, const_val: float, flip: bool) -> ParametricSurface:
-    """Unit-square face of the unit cube with outward normal."""
+def _axis_patch(const_axis: int, const_val: float) -> ParametricSurface:
+    """Unit-square face of the unit cube, (u, v) along its free axes in order."""
+    free = [a for a in range(3) if a != const_axis]
 
     def pos(p):
-        u, v = p[..., 0], p[..., 1]
-        first, second = (v, u) if flip else (u, v)
         coords = [None, None, None]
         coords[const_axis] = np.full(p.shape[:-1], const_val)
-        free = [a for a in range(3) if a != const_axis]
-        coords[free[0]] = first
-        coords[free[1]] = second
+        coords[free[0]] = p[..., 0]
+        coords[free[1]] = p[..., 1]
         return np.stack(coords, axis=-1)
 
-    def deriv(which):
+    def deriv(axis):
         def handle(p):
             out = np.zeros(p.shape[:-1] + (3,))
-            free = [a for a in range(3) if a != const_axis]
-            if flip:
-                axis = free[1] if which == 0 else free[0]
-            else:
-                axis = free[0] if which == 0 else free[1]
             out[..., axis] = 1.0
             return out
 
         return handle
 
     return ParametricSurface(
-        domain=UNIT_SQUARE, pos=pos, du=deriv(0), dv=deriv(1)
+        domain=UNIT_SQUARE, pos=pos, du=deriv(free[0]), dv=deriv(free[1])
     )
 
 
-# Outward faces: high faces keep (u, v) order, low faces swap it so the
-# cross product du x dv points away from the cube.
+# Outward faces: du x dv of an unswapped face points along +axis for axes 0
+# and 2 and along -axis for axis 1, so the x = 0, y = 1 and z = 0 faces swap
+# (u, v) to point away from the cube.
 CUBE_FACES = (
-    _axis_patch(0, 1.0, flip=False),
-    _axis_patch(0, 0.0, flip=True),
-    _axis_patch(1, 1.0, flip=True),
-    _axis_patch(1, 0.0, flip=False),
-    _axis_patch(2, 1.0, flip=False),
-    _axis_patch(2, 0.0, flip=True),
+    _axis_patch(0, 1.0),
+    swap_surface(_axis_patch(0, 0.0)),
+    swap_surface(_axis_patch(1, 1.0)),
+    _axis_patch(1, 0.0),
+    _axis_patch(2, 1.0),
+    swap_surface(_axis_patch(2, 0.0)),
 )
 
 CUBE_REGION = ParametricRegion(

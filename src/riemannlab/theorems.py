@@ -39,21 +39,36 @@ from .summation import neumaier_sum  # noqa: F401  (bench/tracing.py wraps this 
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Both sides of one theorem identity and their agreement."""
+    """Both sides of one theorem identity, with their gap and errors."""
 
     theorem: str
     lhs: SumEstimate
     rhs: SumEstimate
-    gap: float
-    lhs_variant: str
-    rhs_variant: str
     reference: float | None = None
-    lhs_error: float | None = None
-    rhs_error: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.gap) and self.gap >= 0.0):
-            raise ValueError("gap must be finite and nonnegative")
+        if not math.isfinite(self.gap):
+            raise ValueError("gap is not finite")
+
+    @property
+    def gap(self) -> float:
+        return abs(self.lhs.value - self.rhs.value)
+
+    @property
+    def lhs_variant(self) -> str:
+        return self.lhs.variant
+
+    @property
+    def rhs_variant(self) -> str:
+        return self.rhs.variant
+
+    @property
+    def lhs_error(self) -> float | None:
+        return None if self.reference is None else abs(self.lhs.value - self.reference)
+
+    @property
+    def rhs_error(self) -> float | None:
+        return None if self.reference is None else abs(self.rhs.value - self.reference)
 
 
 # --- the shared boundary path ---------------------------------------------------
@@ -111,13 +126,7 @@ def _two_sided(
         )
     lhs = interior(lhs_spec)
     rhs = _boundary_sum(F, pieces, partitions, rhs_spec)
-    errors = (None, None)
-    if reference is not None:
-        errors = (abs(lhs.value - reference), abs(rhs.value - reference))
-    gap = abs(lhs.value - rhs.value)
-    return TheoremReport(
-        theorem, lhs, rhs, gap, lhs_spec.kind, rhs_spec.kind, reference, *errors
-    )
+    return TheoremReport(theorem, lhs, rhs, reference)
 
 
 # --- the three checks ---------------------------------------------------------

@@ -229,6 +229,12 @@ class TestVariantSum:
         b = variant_sum(X_1D, p2, spec)
         assert a == b
 
+    def test_overflowing_sum_is_not_finite(self):
+        huge = ScalarField(1, lambda x: np.full(x.shape[:-1], 1e308))
+        p = make_uniform_partition(Box(((0.0, 2.0),)), 2)
+        with pytest.raises(ValueError, match="not finite"):
+            variant_sum(huge, p)
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             VariantSpec(kind="nope")

@@ -1,7 +1,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemannlab.summation import neumaier_sum
@@ -40,3 +40,22 @@ class TestNeumaier:
         a = neumaier_sum(values)
         b = neumaier_sum(values)
         assert a == b  # bitwise reproducible, residual included
+
+    @given(
+        st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False), max_size=200
+        ).flatmap(lambda v: st.tuples(st.just(v), st.permutations(v)))
+    )
+    @example(([8629323275487076.0, 2241961246255065.0, 1.2090499913545907e-17],) * 2)
+    @settings(max_examples=200, deadline=None)
+    def test_total_is_fsum_in_any_order(self, values_and_permutation):
+        values, permuted = values_and_permutation
+        exact = math.fsum(values)
+        assert neumaier_sum(values)[0].hex() == exact.hex()
+        assert neumaier_sum(permuted)[0].hex() == exact.hex()
+
+    def test_residual_is_the_correction_over_the_plain_ascending_sum(self):
+        values = [1e16, 1.0, -1e16]
+        plain = (1e16 + 1.0) + -1e16  # 0.0: the 1.0 is lost
+        total, residual = neumaier_sum(values)
+        assert residual == total - plain == 1.0

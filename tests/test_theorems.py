@@ -14,6 +14,8 @@ from riemannlab import (
     PowerLaw,
     Prefix,
     RandomPick,
+    SumEstimate,
+    TheoremReport,
     VariantSpec,
     VectorField,
     gauss_check,
@@ -237,6 +239,23 @@ class TestInputErrors:
         bp = make_uniform_partition(Box(((0.0, TWO_PI),)), 128)
         with pytest.raises(DimensionMismatch):
             stokes_check(ROTATION_2D, DISK_PATCH, surf_p, CIRCLE_3D, bp)
+
+
+class TestReport:
+    @staticmethod
+    def _side(value, variant="full"):
+        return SumEstimate(value, 4, 0.5, 0, 0.0, variant, 0.0)
+
+    def test_gap_errors_and_variants_derive_from_the_sides(self):
+        rep = TheoremReport("green", self._side(1.0), self._side(1.5, "perturbed"), 2.0)
+        assert (rep.gap, rep.lhs_error, rep.rhs_error) == (0.5, 1.0, 0.5)
+        assert (rep.lhs_variant, rep.rhs_variant) == ("full", "perturbed")
+        bare = TheoremReport("green", self._side(1.0), self._side(1.5))
+        assert bare.lhs_error is None and bare.rhs_error is None
+
+    def test_gap_must_be_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            TheoremReport("green", self._side(1e308), self._side(-1e308))
 
 
 class TestClauseStructure:
