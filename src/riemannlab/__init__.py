@@ -13,6 +13,7 @@ from .errors import (
     EqualPartitionRequired,
     IoFailure,
     MissingTerms,
+    NonFiniteSum,
     NonMonotoneMList,
     OrientationCheckFailed,
     RiemannLabError,

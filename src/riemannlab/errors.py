@@ -29,6 +29,10 @@ class TooFewCells(RiemannLabError, ValueError):
     """Deletion was requested on fewer than two cells, where no K < m exists."""
 
 
+class NonFiniteSum(RiemannLabError, ValueError):
+    """A sum or a theorem gap is not finite: its terms overflow, or hold inf or nan."""
+
+
 class UnboundPlan(RiemannLabError):
     """A deletion plan was used before being bound to a partition."""
 

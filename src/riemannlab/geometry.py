@@ -481,11 +481,14 @@ def select_indices(
         mags = np.abs(np.asarray(terms, dtype=float).ravel())
         if len(mags) != m:
             raise MissingTerms(f"expected {m} magnitudes, got {len(mags)}")
-        order = np.argsort(-mags, kind="stable")  # stable: ties keep lowest index
-        indices = np.sort(order[:k])
+        mags[np.isnan(mags)] = -1.0  # nan ranks last
+        kth = np.partition(mags, m - k)[m - k]  # the k-th largest, in O(m)
+        above = np.flatnonzero(mags > kth)
+        ties = np.flatnonzero(mags == kth)[: k - len(above)]  # lowest indices win
+        indices = np.sort(np.concatenate([above, ties]))
     else:
         raise TypeError(f"unknown selector {selector!r}")
-    return tuple(int(i) for i in indices)
+    return tuple(indices.tolist())
 
 
 def bind_deletion(plan: DeletionPlan, p: Partition, terms=None) -> DeletionPlan:

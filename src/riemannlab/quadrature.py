@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateNormal, DimensionMismatch, UnboundPlan
+from .errors import DegenerateNormal, DimensionMismatch, NonFiniteSum, UnboundPlan
 from .fields import ParametricRegion, ScalarField
 from .geometry import (
     DeletionPlan,
@@ -66,7 +66,7 @@ class SumEstimate:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not math.isfinite(self.value):
-            raise ValueError("sum estimate is not finite")
+            raise NonFiniteSum("sum estimate is not finite")
         if self.deleted_count and self.variant not in ("deleted", "combined"):
             raise ValueError("deleted_count > 0 only for deleted/combined variants")
         if self.symdiff_total and self.variant not in ("perturbed", "combined"):
@@ -146,18 +146,22 @@ def _keep_mask(plan: DeletionPlan, m: int) -> np.ndarray:
     return keep
 
 
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The pieces' arrays as one index space; one piece is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _selected(spec: VariantSpec, dots, partitions, m: int) -> tuple[int, ...]:
     """The indices ``spec`` deletes from the pieces' one index space."""
-    magnitudes = None
+    base_terms = None  # select_indices ranks their absolute values
     if isinstance(spec.selector, LargestTerm):
-        base_terms = [d * p.measures for d, p in zip(dots, partitions)]
-        magnitudes = np.abs(np.concatenate(base_terms))
+        base_terms = _joined([d * p.measures for d, p in zip(dots, partitions)])
     if len(partitions) == 1:
         is_equal = partitions[0].is_equal
     else:
         measures = np.concatenate([p.measures for p in partitions])
         is_equal = bool(np.all(measures == measures[0]))
-    return select_indices(spec.schedule, spec.selector, m, magnitudes, is_equal)
+    return select_indices(spec.schedule, spec.selector, m, base_terms, is_equal)
 
 
 def pieces_sum(
@@ -196,7 +200,7 @@ def pieces_sum(
     if pps is None and spec.perturbs:
         pps = [perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)]
 
-    terms = np.concatenate([d * w.measures for d, w in zip(dots, pps or partitions)])
+    terms = _joined([d * w.measures for d, w in zip(dots, pps or partitions)])
     # Integrands a caller passed as temporaries are freed here, so they do not
     # add to the peak memory of the reduction.
     del dots

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_surface import line_dots, surface_dots, surface_sum
-from .errors import DimensionMismatch, OrientationCheckFailed
+from .errors import DimensionMismatch, NonFiniteSum, OrientationCheckFailed
 from .fields import (
     ParametricRegion,
     ParametricSurface,
@@ -48,7 +48,7 @@ class TheoremReport:
 
     def __post_init__(self):
         if not math.isfinite(self.gap):
-            raise ValueError("gap is not finite")
+            raise NonFiniteSum("gap is not finite")
 
     @property
     def gap(self) -> float:

@@ -131,6 +131,13 @@ def naive_magnitude(terms, deleted=()) -> float:
     return math.fsum(abs(t) for k, t in enumerate(terms) if k not in dropped)
 
 
+def argsort_top_k(terms, k) -> tuple[int, ...]:
+    """The LargestTerm rule by a full sort: a stable argsort of -|t| (nan
+    last, ties to the lowest index), its first k indices, ascending."""
+    order = np.argsort(-np.abs(np.asarray(terms, dtype=float)), kind="stable")
+    return tuple(sorted(int(i) for i in order[:k]))
+
+
 # --- random polynomial inputs (bitwise-safe under vectorization) -------------
 
 

@@ -29,7 +29,9 @@ from riemannlab import (
     schedule_count,
 )
 
-from oracles import naive_symdiff, unravel
+from riemannlab.geometry import select_indices
+
+from oracles import argsort_top_k, naive_symdiff, unravel
 
 UNIT = Box(((0.0, 1.0),))
 
@@ -315,6 +317,26 @@ class TestDeletionPlan:
             DeletionPlan(FixedK(1), LargestTerm()), p, terms=(3.0, 1.0, 9.0, 9.0)
         )
         assert plan1.resolved == (2,)  # tie broken toward the lowest index
+
+    @given(
+        st.integers(2, 5000).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(1, m - 1))
+        ),
+        st.lists(
+            st.sampled_from(
+                [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, math.inf, -math.inf, math.nan]
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_largest_term_is_the_full_sort_rule(self, m_and_k, pool, seed):
+        m, k = m_and_k
+        terms = np.random.default_rng(seed).choice(np.array(pool), m)
+        got = select_indices(FixedK(k), LargestTerm(), m, terms)
+        assert got == argsort_top_k(terms, k)
 
     def test_largest_term_requires_terms(self):
         p = make_uniform_partition(UNIT, 4)

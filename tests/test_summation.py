@@ -1,10 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from riemannlab.summation import neumaier_sum
+from riemannlab import (
+    NonFiniteSum,
+    SumEstimate,
+    get_scenario,
+    make_uniform_partition,
+)
+from riemannlab.summation import _FSUM_FLOOR, neumaier_sum
 
 
 class TestNeumaier:
@@ -35,7 +44,7 @@ class TestNeumaier:
         scale = math.fsum(abs(v) for v in values)
         assert abs(total - exact) <= 4 * np.finfo(float).eps * max(scale, 1.0)
 
-    def test_order_is_part_of_the_contract(self):
+    def test_equal_calls_are_bit_identical(self):
         values = np.array([0.1, 0.2, 0.3, 0.4])
         a = neumaier_sum(values)
         b = neumaier_sum(values)
@@ -59,3 +68,105 @@ class TestNeumaier:
         plain = (1e16 + 1.0) + -1e16  # 0.0: the 1.0 is lost
         total, residual = neumaier_sum(values)
         assert residual == total - plain == 1.0
+
+
+def sinprod_terms(m_axis: int = 1024) -> np.ndarray:
+    """The box.sinprod.2d terms f(tag) * m(I_k) at m_axis**2 cells."""
+    sc = get_scenario("box.sinprod.2d")
+    p = make_uniform_partition(sc.box, m_axis)
+    return np.asarray(sc.field(p.tags), dtype=float) * p.measures
+
+
+class TestExtraction:
+    """Above ``_FSUM_FLOOR`` terms the sum is extracted in numpy passes; its
+    bits must still be those of ``math.fsum`` over the terms."""
+
+    @staticmethod
+    def assert_is_fsum(x):
+        assert neumaier_sum(x)[0].hex() == math.fsum(x.tolist()).hex()
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(_FSUM_FLOOR + 1, 20_000),
+            elements=st.floats(-1e300, 1e300, allow_nan=False),
+        )
+    )
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_drawn_arrays_sum_to_fsum(self, x):
+        self.assert_is_fsum(x)
+
+    @given(
+        st.integers(_FSUM_FLOOR + 1, 20_000),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 700),
+        st.integers(-700, 600),  # up to 2**950: no partial sum overflows
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_dynamic_ranges_sum_to_fsum(self, n, seed, spread, centre):
+        rng = np.random.default_rng(seed)
+        exponents = centre + rng.uniform(-spread, spread, n) / 2
+        self.assert_is_fsum(rng.standard_normal(n) * np.exp2(exponents))
+
+    def test_box_terms_sum_to_fsum(self):
+        self.assert_is_fsum(sinprod_terms())
+
+    @pytest.mark.parametrize(
+        "name",
+        ["wide_range", "cancellation", "near_overflow", "subnormal", "floor_edges"],
+    )
+    def test_pinned_cases_sum_to_fsum(self, name):
+        rng = np.random.default_rng(8)
+        n = 50_000
+        x = {
+            "wide_range": rng.standard_normal(n) * np.exp(rng.uniform(-200, 200, n)),
+            "cancellation": np.concatenate(
+                [np.tile([1e10, -1e10], n // 2), np.full(n, 1e-5)]
+            ),
+            # sigma would overflow, but fsum finds a finite sum
+            "near_overflow": np.ravel(
+                [[v, -v * (1 + 2.0**-52)] for v in 8e307 * (1 + rng.random(n))]
+            ),
+            "subnormal": rng.standard_normal(n) * 5e-321,
+            "floor_edges": np.full(_FSUM_FLOOR + 1, 0.1),
+        }[name]
+        self.assert_is_fsum(x)
+
+    def test_negative_zeros_keep_fsums_sign(self):
+        x = np.full(_FSUM_FLOOR * 4, -0.0)
+        total, residual = neumaier_sum(x)
+        assert total.hex() == math.fsum(x.tolist()).hex()
+        assert residual == 0.0
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"]
+    )
+    def test_non_finite_terms_end_in_non_finite_sum(self, bad):
+        x = np.ones(_FSUM_FLOOR * 4)
+        x[1234] = bad
+        total, _ = neumaier_sum(x)
+        assert not math.isfinite(total)
+        with pytest.raises(NonFiniteSum, match="not finite"):
+            SumEstimate(total, x.size, 1.0, 0, 0.0, "full", 0.0)
+
+    def test_overflowing_sum_ends_in_non_finite_sum(self):
+        x = np.full(_FSUM_FLOOR * 4, 1e308)
+        total, residual = neumaier_sum(x)
+        assert (total, residual) == (math.inf, 0.0)
+        with pytest.raises(NonFiniteSum, match="not finite"):
+            SumEstimate(total, x.size, 1.0, 0, 0.0, "full", 0.0)
+
+    def test_peak_memory_stays_near_the_input(self):
+        x = sinprod_terms()
+        neumaier_sum(x)  # warm numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            neumaier_sum(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes

@@ -9,6 +9,7 @@ from riemannlab import (
     DimensionMismatch,
     EqualPartitionRequired,
     FixedK,
+    NonFiniteSum,
     OrientationCheckFailed,
     ParametricRegion,
     PowerLaw,
@@ -255,6 +256,10 @@ class TestReport:
 
     def test_gap_must_be_finite(self):
         with pytest.raises(ValueError, match="not finite"):
+            TheoremReport("green", self._side(1e308), self._side(-1e308))
+
+    def test_non_finite_gap_is_a_package_error(self):
+        with pytest.raises(NonFiniteSum):
             TheoremReport("green", self._side(1e308), self._side(-1e308))
 
 
