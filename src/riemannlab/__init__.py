@@ -11,6 +11,7 @@ from .errors import (
     DegenerateNormal,
     DimensionMismatch,
     EqualPartitionRequired,
+    InvalidParameter,
     IoFailure,
     MissingTerms,
     NonFiniteSum,

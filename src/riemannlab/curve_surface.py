@@ -5,7 +5,8 @@ with x'(t*) dt; surface sums use the normal N = X_u x X_v of a parametrized
 surface, weighting by ||N|| dD (scalar) or N dD (vector). This module only
 evaluates those integrands at the parameter tags; the cell measures, the
 four variants (full, deleted, perturbed, combined) and the reduction all
-come from the one kernel, :func:`riemannlab.quadrature.pieces_sum`.
+come from the one kernel, :func:`riemannlab.quadrature.pieces_sum`. Each
+integrand is evaluated in row slabs by :func:`riemannlab.fields._rowwise`.
 :func:`line_sum` and :func:`surface_sum` are the entry points, scalar or
 vector by field type; :func:`line_dots` and :func:`surface_dots` are the
 vector integrands the theorem boundaries sum. Partitions always live on the
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import ParametricSurface, Path, ScalarField, VectorField
+from .fields import ParametricSurface, Path, ScalarField, VectorField, _rowwise
 from .geometry import Box, DeletionPlan, Partition, PerturbedPartition
 from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum
 
@@ -43,38 +44,49 @@ def _scalar_line_integrand(
     f: ScalarField, path: Path, partition: Partition
 ) -> np.ndarray:
     """f(x(t*_k)) ||x'(t*_k)|| at the partition tags (no widths applied)."""
-    t = _tags(path, partition, f.dim)[:, 0]
-    values = np.asarray(f(path.pos(t)), dtype=float)
-    speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
-    return values * speed
+
+    def integrand(t):
+        values = np.asarray(f(path.pos(t)), dtype=float)
+        speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
+        return values * speed
+
+    return _rowwise(integrand, _tags(path, partition, f.dim)[:, 0])
 
 
 def line_dots(F: VectorField, path: Path, partition: Partition) -> np.ndarray:
     """F(x(t*_k)) . x'(t*_k) at the partition tags (no widths applied)."""
-    t = _tags(path, partition, F.dim_in)[:, 0]
-    return np.sum(
-        np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
-    )
+
+    def integrand(t):
+        return np.sum(
+            np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
+        )
+
+    return _rowwise(integrand, _tags(path, partition, F.dim_in)[:, 0])
 
 
 def _scalar_surface_integrand(
     f: ScalarField, surface: ParametricSurface, partition: Partition
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f(X(xi_k)) ||N(xi_k)||, ||N(xi_k)|| == 0) at the partition tags."""
-    xi = _tags(surface, partition, f.dim)
-    norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
-    values = np.asarray(f(surface.pos(xi)), dtype=float)
-    return values * norms, norms == 0.0
+
+    def integrand(xi):  # columns: the integrand and ||N||
+        norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
+        values = np.asarray(f(surface.pos(xi)), dtype=float)
+        return np.stack([values * norms, norms], axis=-1)
+
+    out = _rowwise(integrand, _tags(surface, partition, f.dim))
+    return out[:, 0], out[:, 1] == 0.0
 
 
 def surface_dots(
     F: VectorField, surface: ParametricSurface, partition: Partition
 ) -> np.ndarray:
     """F(X(xi_k)) . N(xi_k) at the partition tags (no widths applied)."""
-    xi = _tags(surface, partition, F.dim_in)
-    return np.sum(
-        np.asarray(F(surface.pos(xi)), float) * surface.normal(xi), axis=-1
-    )
+
+    def integrand(xi):
+        return np.sum(np.asarray(F(surface.pos(xi)), float) * surface.normal(xi), axis=-1)
+
+    return _rowwise(integrand, _tags(surface, partition, F.dim_in))
 
 
 def line_sum(

@@ -29,6 +29,11 @@ class TooFewCells(RiemannLabError, ValueError):
     """Deletion was requested on fewer than two cells, where no K < m exists."""
 
 
+class InvalidParameter(RiemannLabError, ValueError):
+    """A numeric parameter is out of its range: a jitter gamma outside [0, 1),
+    a fixed deletion count K < 1, or a power-law beta outside (0, 1)."""
+
+
 class NonFiniteSum(RiemannLabError, ValueError):
     """A sum or a theorem gap is not finite: its terms overflow, or hold inf or nan."""
 

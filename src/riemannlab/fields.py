@@ -3,8 +3,16 @@
 Evaluation handles are plain callables written against numpy: they accept a
 single point of shape (n,) or a batch of shape (m, n) and return matching
 scalars/vectors (use ``p[..., i]`` indexing and ``np.stack(..., axis=-1)``
-so both shapes work). Handles must be pure; every constructed object is
+so both shapes work). Handles must be pure and row-wise: row i of a batch's
+result depends only on row i of its input, so evaluating a batch in slabs
+gives the same values as evaluating it whole. Every constructed object is
 immutable and safe to evaluate from many threads.
+
+Sums evaluate their integrands with :func:`_rowwise`: in fixed C-order slabs
+of ``_SLAB_ROWS`` rows, spread over a pool of one thread per available CPU
+and written into one output array. Elementwise results do not depend on
+where a slab starts, so the values do not depend on the thread count or on
+the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied.
@@ -12,6 +20,9 @@ Derivatives fall back to 4th-order central differences with per-axis step
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,6 +116,103 @@ class ParametricRegion:
     mapping: Callable
     jac_det: Callable
     boundary: tuple = ()
+
+
+# --- slab-parallel evaluation ------------------------------------------------
+
+_SLAB_ROWS = 8192  # rows per slab: the integrand's temporaries stay cache-sized
+
+_pool: ThreadPoolExecutor | None = None
+_helpers = 0  # pool threads: one per usable CPU besides the caller
+_pool_lock = threading.Lock()
+_worker = threading.local()  # ``inside`` is set in pool threads
+
+
+def _mark_worker() -> None:
+    _worker.inside = True
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's pool threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _slab_pool() -> ThreadPoolExecutor | None:
+    """The process-wide pool, or None where slabs must run in the caller.
+
+    That is inside a pool thread (a handle that sums waits on no pool slot,
+    so nesting cannot deadlock) and in a process with one usable CPU.
+    """
+    global _pool, _helpers
+    if getattr(_worker, "inside", False):
+        return None
+    if _pool is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        if cpus < 2:
+            return None
+        with _pool_lock:
+            if _pool is None:
+                _helpers = cpus - 1
+                _pool = ThreadPoolExecutor(
+                    _helpers, thread_name_prefix="riemannlab-slab", initializer=_mark_worker
+                )
+    return _pool
+
+
+def _rowwise(fn: Callable, points: np.ndarray):
+    """``fn(points)`` for a row-wise ``fn``, evaluated in slabs of rows.
+
+    At most ``_SLAB_ROWS`` rows are one call. Otherwise the caller evaluates
+    the first slab, which fixes the trailing shape of the float output (a
+    0-d result is broadcast over the rows). Then the caller and the pool
+    threads take the other slabs in order and fill that one preallocated
+    array. The exception of the lowest failing slab propagates as raised.
+    """
+    n = len(points)
+    if n <= _SLAB_ROWS:
+        return fn(points)
+    first = np.asarray(fn(points[:_SLAB_ROWS]), dtype=float)
+    out = np.empty((n,) + first.shape[1:])
+    out[:_SLAB_ROWS] = first
+    del first
+    starts = iter(range(_SLAB_ROWS, n, _SLAB_ROWS))
+    take = threading.Lock()
+    failures = {}  # slab start -> its exception
+
+    def drain() -> None:
+        # Slabs are taken in order, so once one has failed every lower slab
+        # is already taken, and taking no more keeps the lowest failure.
+        while not failures:
+            with take:
+                start = next(starts, None)
+            if start is None:
+                return
+            stop = start + _SLAB_ROWS
+            try:
+                out[start:stop] = np.asarray(fn(points[start:stop]), dtype=float)
+            except Exception as exc:
+                failures[start] = exc
+
+    pool = _slab_pool()
+    remaining = (n - 1) // _SLAB_ROWS
+    helpers = [] if pool is None else [
+        pool.submit(drain) for _ in range(min(_helpers, remaining - 1))
+    ]
+    drain()
+    for helper in helpers:
+        if not helper.cancel():  # it started, and may still be filling a slab
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return out
 
 
 # --- finite differences -----------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     CountOverflow,
     DegenerateBox,
     EqualPartitionRequired,
+    InvalidParameter,
     MissingTerms,
     TagEscape,
     TooFewCells,
@@ -302,7 +303,7 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
     perturbed cell; endpoints never move.
     """
     if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must be in [0, 1), got {gamma}")
+        raise InvalidParameter(f"gamma must be in [0, 1), got {gamma}")
     rng = np.random.default_rng(seed)
     mesh_sq = p.mesh**2
     grid = p.tag_grid
@@ -384,7 +385,7 @@ class FixedK:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("K must be >= 1")
+            raise InvalidParameter("K must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -395,7 +396,7 @@ class PowerLaw:
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
+            raise InvalidParameter("beta must be in (0, 1)")
 
 
 @dataclass(frozen=True)

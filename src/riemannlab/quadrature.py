@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateNormal, DimensionMismatch, NonFiniteSum, UnboundPlan
-from .fields import ParametricRegion, ScalarField
+from .fields import ParametricRegion, ScalarField, _rowwise
 from .geometry import (
     DeletionPlan,
     FixedK,
@@ -77,7 +77,7 @@ def _values(f: ScalarField, p: Partition) -> np.ndarray:
     """The box integrand: f at the tags of ``p``."""
     if f.dim != p.dim:
         raise DimensionMismatch(f"field dim {f.dim} != partition dim {p.dim}")
-    return np.asarray(f(p.tags), dtype=float)
+    return np.asarray(_rowwise(f, p.tags), dtype=float)
 
 
 # --- region integrals via change of variables --------------------------------
@@ -151,11 +151,12 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _selected(spec: VariantSpec, dots, partitions, m: int) -> tuple[int, ...]:
-    """The indices ``spec`` deletes from the pieces' one index space."""
-    base_terms = None  # select_indices ranks their absolute values
-    if isinstance(spec.selector, LargestTerm):
-        base_terms = _joined([d * p.measures for d, p in zip(dots, partitions)])
+def _selected(spec: VariantSpec, base_terms, partitions, m: int) -> tuple[int, ...]:
+    """The indices ``spec`` deletes from the pieces' one index space.
+
+    ``base_terms`` (integrand x base measure) is needed only by LargestTerm,
+    which ranks their absolute values.
+    """
     if len(partitions) == 1:
         is_equal = partitions[0].is_equal
     else:
@@ -193,14 +194,20 @@ def pieces_sum(
             "a perturbation must be built from the one partition it weights"
         )
     m = sum(p.m for p in partitions)
+    terms = None  # LargestTerm's base terms, when no perturbation reweights them
     if plan is None and spec.deletes:
-        indices = _selected(spec, dots, partitions, m)
+        if isinstance(spec.selector, LargestTerm):
+            terms = _joined([d * p.measures for d, p in zip(dots, partitions)])
+        indices = _selected(spec, terms, partitions, m)
         plan = DeletionPlan(spec.schedule, spec.selector, indices)
+        if perturbation is not None or spec.perturbs:
+            terms = None  # freed before the perturbed terms are built
     pps = None if perturbation is None else [perturbation]
     if pps is None and spec.perturbs:
         pps = [perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)]
 
-    terms = _joined([d * w.measures for d, w in zip(dots, pps or partitions)])
+    if terms is None:
+        terms = _joined([d * w.measures for d, w in zip(dots, pps or partitions)])
     # Integrands a caller passed as temporaries are freed here, so they do not
     # add to the peak memory of the reduction.
     del dots

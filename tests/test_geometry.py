@@ -14,12 +14,14 @@ from riemannlab import (
     DeletionPlan,
     EqualPartitionRequired,
     FixedK,
+    InvalidParameter,
     LargestTerm,
     Logarithmic,
     MissingTerms,
     PowerLaw,
     Prefix,
     RandomPick,
+    RiemannLabError,
     TagEscape,
     apply_perturbation,
     bind_deletion,
@@ -382,3 +384,11 @@ class TestDeletionPlan:
             PowerLaw(0.0)
         with pytest.raises(ValueError):
             FixedK(0)
+
+    def test_out_of_range_parameters_are_typed(self):
+        p = make_uniform_partition(UNIT, 4)
+        for make in (lambda: perturb(p, 1.0), lambda: FixedK(0), lambda: PowerLaw(1.0)):
+            with pytest.raises(InvalidParameter) as info:
+                make()
+            assert isinstance(info.value, RiemannLabError)
+            assert isinstance(info.value, ValueError)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from riemannlab import (
     get_scenario,
     make_uniform_partition,
 )
-from riemannlab.summation import _FSUM_FLOOR, neumaier_sum
+from riemannlab import summation
+from riemannlab.summation import _CUMSUM_SLAB, _FSUM_FLOOR, _ascending_sum, neumaier_sum
 
 
 class TestNeumaier:
@@ -170,3 +172,45 @@ class TestExtraction:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * x.nbytes
+
+
+class TestAscendingSum:
+    """The residual's plain sum is taken slab by slab; its bits must be those
+    of ``np.cumsum(x)[-1]`` over the whole array."""
+
+    @staticmethod
+    def assert_is_cumsum(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _ascending_sum(x).hex() == float(np.cumsum(x)[-1]).hex()
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 200),
+            elements=st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+        ),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_arrays_match_cumsum_at_any_slab_size(self, x, slab):
+        with mock.patch.object(summation, "_CUMSUM_SLAB", slab):
+            self.assert_is_cumsum(x)
+
+    @pytest.mark.parametrize(
+        "n", [1, _CUMSUM_SLAB - 1, _CUMSUM_SLAB, _CUMSUM_SLAB + 1, 3 * _CUMSUM_SLAB + 5]
+    )
+    def test_slab_edges_match_cumsum(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * np.exp2(rng.uniform(-60, 60, n))
+        self.assert_is_cumsum(x)
+
+    @pytest.mark.parametrize(
+        "before, special",
+        [(-0.0, -0.0), (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan), (1e304, 1e308)],
+        ids=["-0.0", "inf", "-inf", "nan", "overflow"],
+    )
+    def test_special_values_at_a_slab_start_match_cumsum(self, before, special):
+        x = np.full(2 * _CUMSUM_SLAB + 3, before)
+        x[_CUMSUM_SLAB] = special
+        self.assert_is_cumsum(x)
