@@ -3,15 +3,15 @@
 Scalar line sums weight f(x(t*)) by ||x'(t*)|| dt, vector line sums dot F
 with x'(t*) dt; surface sums use the normal N = X_u x X_v of a parametrized
 surface, weighting by ||N|| dD (scalar) or N dD (vector). This module only
-evaluates those integrands at the parameter tags; the cell measures, the
-four variants (full, deleted, perturbed, combined) and the reduction all
-come from the one kernel, :func:`riemannlab.quadrature.pieces_sum`. Each
-integrand is evaluated in row slabs by :func:`riemannlab.fields._rowwise`.
-:func:`line_sum` and :func:`surface_sum` are the entry points, scalar or
-vector by field type; :func:`line_dots` and :func:`surface_dots` are the
-vector integrands the theorem boundaries sum. Partitions always live on the
-parameter domain (:func:`parameter_box`), never on the embedded curve or
-surface; each integrand refuses a partition that does not cover it.
+builds those integrands, as row-wise callables of a slab of parameter tags;
+the kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates them at the
+tags and owns the cell measures, the four variants (full, deleted,
+perturbed, combined) and the reduction. :func:`line_sum` and
+:func:`surface_sum` are the entry points, scalar or vector by field type;
+:func:`line_dots` and :func:`surface_dots` are the vector integrands the
+theorem boundaries sum. Partitions always live on the parameter domain
+(:func:`parameter_box`), never on the embedded curve or surface; each
+integrand refuses a partition that does not cover it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import ParametricSurface, Path, ScalarField, VectorField, _rowwise
+from .fields import ParametricSurface, Path, ScalarField, VectorField
 from .geometry import Box, DeletionPlan, Partition, PerturbedPartition
 from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum
 
@@ -29,64 +29,64 @@ def parameter_box(piece: Path | ParametricSurface) -> Box:
     return Box((piece.domain,)) if isinstance(piece, Path) else piece.domain
 
 
-def _tags(piece: Path | ParametricSurface, partition: Partition, field_dim: int):
-    """Tags of ``partition``; refuses a partition or field not fitting ``piece``."""
+def _check(piece: Path | ParametricSurface, partition: Partition, field_dim: int):
+    """Refuse a partition or field not fitting ``piece``."""
     kind = "path" if isinstance(piece, Path) else "surface"
     if partition.parent.axes != parameter_box(piece).axes:
         raise DimensionMismatch(f"partition must cover the {kind} domain")
     codim = piece.codim if kind == "path" else 3
     if field_dim != codim:
         raise DimensionMismatch(f"field dim {field_dim} != {kind} codomain {codim}")
-    return partition.tags
 
 
-def _scalar_line_integrand(
-    f: ScalarField, path: Path, partition: Partition
-) -> np.ndarray:
-    """f(x(t*_k)) ||x'(t*_k)|| at the partition tags (no widths applied)."""
+def _scalar_line_integrand(f: ScalarField, path: Path, partition: Partition):
+    """Row-wise f(x(t*_k)) ||x'(t*_k)|| of a slab of tags (no widths applied)."""
+    _check(path, partition, f.dim)
 
-    def integrand(t):
+    def integrand(tags):
+        t = tags[:, 0]
         values = np.asarray(f(path.pos(t)), dtype=float)
         speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
         return values * speed
 
-    return _rowwise(integrand, _tags(path, partition, f.dim)[:, 0])
+    return integrand
 
 
-def line_dots(F: VectorField, path: Path, partition: Partition) -> np.ndarray:
-    """F(x(t*_k)) . x'(t*_k) at the partition tags (no widths applied)."""
+def line_dots(F: VectorField, path: Path, partition: Partition):
+    """Row-wise F(x(t*_k)) . x'(t*_k) of a slab of tags (no widths applied)."""
+    _check(path, partition, F.dim_in)
 
-    def integrand(t):
+    def integrand(tags):
+        t = tags[:, 0]
         return np.sum(
             np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
         )
 
-    return _rowwise(integrand, _tags(path, partition, F.dim_in)[:, 0])
+    return integrand
 
 
 def _scalar_surface_integrand(
     f: ScalarField, surface: ParametricSurface, partition: Partition
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f(X(xi_k)) ||N(xi_k)||, ||N(xi_k)|| == 0) at the partition tags."""
+):
+    """Row-wise columns f(X(xi_k)) ||N(xi_k)|| and ||N(xi_k)|| of a slab of tags."""
+    _check(surface, partition, f.dim)
 
-    def integrand(xi):  # columns: the integrand and ||N||
+    def integrand(xi):
         norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
         values = np.asarray(f(surface.pos(xi)), dtype=float)
         return np.stack([values * norms, norms], axis=-1)
 
-    out = _rowwise(integrand, _tags(surface, partition, f.dim))
-    return out[:, 0], out[:, 1] == 0.0
+    return integrand
 
 
-def surface_dots(
-    F: VectorField, surface: ParametricSurface, partition: Partition
-) -> np.ndarray:
-    """F(X(xi_k)) . N(xi_k) at the partition tags (no widths applied)."""
+def surface_dots(F: VectorField, surface: ParametricSurface, partition: Partition):
+    """Row-wise F(X(xi_k)) . N(xi_k) of a slab of tags (no widths applied)."""
+    _check(surface, partition, F.dim_in)
 
     def integrand(xi):
         return np.sum(np.asarray(F(surface.pos(xi)), float) * surface.normal(xi), axis=-1)
 
-    return _rowwise(integrand, _tags(surface, partition, F.dim_in))
+    return integrand
 
 
 def line_sum(
@@ -122,10 +122,9 @@ def surface_sum(
     Scalar or vector by field type; ``plan`` and ``perturbation`` are as
     for :func:`line_sum`.
     """
-    if isinstance(field, VectorField):
-        return pieces_sum(
-            [surface_dots(field, surface, partition)], [partition], spec, plan,
-            perturbation,
-        )
-    dots, degenerate = _scalar_surface_integrand(field, surface, partition)
-    return pieces_sum([dots], [partition], spec, plan, perturbation, degenerate)
+    vector = isinstance(field, VectorField)
+    integrand = surface_dots if vector else _scalar_surface_integrand
+    return pieces_sum(
+        [integrand(field, surface, partition)], [partition], spec, plan, perturbation,
+        degenerate=not vector,
+    )

@@ -30,8 +30,9 @@ class TooFewCells(RiemannLabError, ValueError):
 
 
 class InvalidParameter(RiemannLabError, ValueError):
-    """A numeric parameter is out of its range: a jitter gamma outside [0, 1),
-    a fixed deletion count K < 1, or a power-law beta outside (0, 1)."""
+    """A parameter is out of range or unknown: a gamma outside [0, 1), K < 1, a
+    beta outside (0, 1), a tag rule or variant label, explicit tags of the
+    wrong shape or outside their cells, or a scenario name registered twice."""
 
 
 class NonFiniteSum(RiemannLabError, ValueError):

@@ -8,11 +8,11 @@ result depends only on row i of its input, so evaluating a batch in slabs
 gives the same values as evaluating it whole. Every constructed object is
 immutable and safe to evaluate from many threads.
 
-Sums evaluate their integrands with :func:`_rowwise`: in fixed C-order slabs
-of ``_SLAB_ROWS`` rows, spread over a pool of one thread per available CPU
-and written into one output array. Elementwise results do not depend on
-where a slab starts, so the values do not depend on the thread count or on
-the schedule.
+The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
+integrand with :func:`_rowwise`: in fixed C-order slabs of ``_SLAB_ROWS``
+rows, spread over a pool of one thread per available CPU and written into
+one output array. Elementwise results do not depend on where a slab starts,
+so the values do not depend on the thread count or on the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied.
@@ -315,62 +315,3 @@ def swap_surface(surface: ParametricSurface) -> ParametricSurface:
         dv=lambda uv: surface.du(np.asarray(uv, dtype=float)[..., ::-1]),
     )
 
-
-# --- agreement checks (used by tests) ---------------------------------------
-
-
-def _sample_box(box: Box, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box.axes])
-    highs = np.array([hi for _, hi in box.axes])
-    return lows + rng.random((n, box.dim)) * (highs - lows)
-
-
-def gradient_deviation(f: ScalarField, box: Box, n: int = 1000, seed: int = 0) -> float:
-    """Max componentwise |analytic - FD| / (1 + |analytic|) over a sample."""
-    pts = _sample_box(box, n, seed)
-    analytic = np.asarray(f.grad(pts), dtype=float)
-    fd = np.stack([_fd_partial(f.fn, pts, a) for a in range(f.dim)], axis=-1)
-    return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
-
-
-def path_velocity_deviation(path: Path, n: int = 100, seed: int = 0) -> float:
-    """Max |vel - central FD of pos| / (1 + |vel|) at random parameters."""
-    a, b = path.domain
-    rng = np.random.default_rng(seed)
-    h = 1e-6
-    t = a + h + rng.random(n) * ((b - a) - 2 * h)
-    vel = np.asarray(path.vel(t), dtype=float)
-    fd = (np.asarray(path.pos(t + h), float) - np.asarray(path.pos(t - h), float)) / (
-        2 * h
-    )
-    return float(np.max(np.abs(vel - fd) / (1.0 + np.abs(vel))))
-
-
-def surface_partial_deviation(
-    surface: ParametricSurface, n: int = 100, seed: int = 0
-) -> float:
-    """Max deviation of du/dv handles from central FD of pos."""
-    pts = _sample_box(surface.domain, n, seed)
-    h = 1e-6
-    worst = 0.0
-    for axis, handle in ((0, surface.du), (1, surface.dv)):
-        hi = pts.copy()
-        lo = pts.copy()
-        hi[:, axis] += h
-        lo[:, axis] -= h
-        fd = (
-            np.asarray(surface.pos(hi), float) - np.asarray(surface.pos(lo), float)
-        ) / (2 * h)
-        an = np.asarray(handle(pts), dtype=float)
-        worst = max(worst, float(np.max(np.abs(an - fd) / (1.0 + np.abs(an)))))
-    return worst
-
-
-def min_interior_normal(
-    surface: ParametricSurface, n: int = 1000, seed: int = 0
-) -> float:
-    """Smallest ||N|| over a random interior sample (regularity probe)."""
-    pts = _sample_box(surface.domain, n, seed)
-    norms = np.sqrt(np.sum(surface.normal(pts) ** 2, axis=-1))
-    return float(np.min(norms))

@@ -108,9 +108,10 @@ class Partition:
     def m(self) -> int:
         return math.prod(self.counts)
 
-    @cached_property
+    @property
     def measures(self) -> np.ndarray:
-        """Per-cell measures m(I_k), C-order, length m."""
+        """Per-cell measures m(I_k), C-order, length m: computed from
+        ``axis_widths`` on each access (m * 8 bytes), and not cached."""
         return _outer_product(self.axis_widths)
 
     @cached_property
@@ -169,7 +170,7 @@ def _make_tags(breakpoints, tag_rule: str, seed: int) -> np.ndarray:
         widths = _grid_stack([np.diff(b) for b in breakpoints])
         rng = np.random.default_rng(seed)
         return lows + rng.random(lows.shape) * widths
-    raise ValueError(f"unknown tag rule {tag_rule!r}; expected one of {TAG_RULES}")
+    raise InvalidParameter(f"unknown tag rule {tag_rule!r}; expected one of {TAG_RULES}")
 
 
 def make_partition(
@@ -193,9 +194,9 @@ def make_partition(
     else:
         tags = np.array(tags, dtype=float, order="C")
         if tags.shape != (m, box.dim):
-            raise ValueError(f"tags must have shape ({m}, {box.dim})")
+            raise InvalidParameter(f"tags must have shape ({m}, {box.dim})")
         if _escaped_axis(tags.reshape(counts + (box.dim,)), breaks) is not None:
-            raise ValueError("explicit tags must lie inside their closed cells")
+            raise InvalidParameter("explicit tags must lie inside their closed cells")
     is_equal = all(bool(np.all(w == w[0])) for w in widths)
     return Partition(box, breaks, widths, tags, is_equal)
 
@@ -243,9 +244,9 @@ class PerturbedPartition:
     axis_widths: tuple[np.ndarray, ...]
     symdiff_total: float
 
-    @cached_property
+    @property
     def measures(self) -> np.ndarray:
-        """Per-cell perturbed measures m(Ĩ_k), C-order."""
+        """Per-cell perturbed measures m(Ĩ_k), C-order, computed on each access."""
         return _outer_product(self.axis_widths)
 
 

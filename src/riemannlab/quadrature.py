@@ -6,8 +6,9 @@ perturbed   base tags with perturbed cell measures m(I~_k)
 combined    perturbed measures and a deletion plan together
 
 :func:`pieces_sum` is the one place these variants are told apart: box,
-region, line, surface and theorem-boundary sums only produce integrands at
-their tags and hand them to it, with the partitions they live on. It
+region, line, surface and theorem-boundary sums only build row-wise
+integrands and hand them to it, with the partitions they live on. It is the
+one place integrands are evaluated, at their tags in row slabs; it also
 resolves deletion once over one index space, weights by base or perturbed
 cell measures, and reduces to the correctly rounded, order-independent sum,
 so equal inputs give bit-identical estimates.
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateNormal, DimensionMismatch, NonFiniteSum, UnboundPlan
+from .errors import DegenerateNormal, DimensionMismatch, InvalidParameter
+from .errors import NonFiniteSum, UnboundPlan
 from .fields import ParametricRegion, ScalarField, _rowwise
 from .geometry import (
     DeletionPlan,
@@ -64,20 +67,13 @@ class SumEstimate:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise InvalidParameter(f"unknown variant {self.variant!r}")
         if not math.isfinite(self.value):
             raise NonFiniteSum("sum estimate is not finite")
         if self.deleted_count and self.variant not in ("deleted", "combined"):
-            raise ValueError("deleted_count > 0 only for deleted/combined variants")
+            raise InvalidParameter("deleted_count > 0 only for deleted/combined variants")
         if self.symdiff_total and self.variant not in ("perturbed", "combined"):
-            raise ValueError("symdiff_total > 0 only for perturbed/combined variants")
-
-
-def _values(f: ScalarField, p: Partition) -> np.ndarray:
-    """The box integrand: f at the tags of ``p``."""
-    if f.dim != p.dim:
-        raise DimensionMismatch(f"field dim {f.dim} != partition dim {p.dim}")
-    return np.asarray(_rowwise(f, p.tags), dtype=float)
+            raise InvalidParameter("symdiff_total > 0 only for perturbed/combined variants")
 
 
 # --- region integrals via change of variables --------------------------------
@@ -114,7 +110,7 @@ class VariantSpec:
 
     def __post_init__(self):
         if self.kind not in VARIANTS:
-            raise ValueError(f"unknown variant kind {self.kind!r}")
+            raise InvalidParameter(f"unknown variant kind {self.kind!r}")
 
     @property
     def deletes(self) -> bool:
@@ -157,33 +153,31 @@ def _selected(spec: VariantSpec, base_terms, partitions, m: int) -> tuple[int, .
     ``base_terms`` (integrand x base measure) is needed only by LargestTerm,
     which ranks their absolute values.
     """
-    if len(partitions) == 1:
-        is_equal = partitions[0].is_equal
-    else:
-        measures = np.concatenate([p.measures for p in partitions])
-        is_equal = bool(np.all(measures == measures[0]))
+    firsts = [math.prod(w[0] for w in p.axis_widths) for p in partitions]
+    is_equal = all(p.is_equal and f == firsts[0] for p, f in zip(partitions, firsts))
     return select_indices(spec.schedule, spec.selector, m, base_terms, is_equal)
 
 
 def pieces_sum(
-    dots: list[np.ndarray],
+    integrands: list[Callable],
     partitions: list[Partition],
     spec: VariantSpec = FULL,
     plan: DeletionPlan | None = None,
     perturbation: PerturbedPartition | None = None,
-    degenerate: np.ndarray | None = None,
+    degenerate: bool = False,
 ) -> SumEstimate:
     """Sum integrand x cell measure over tagged pieces, in any variant.
 
-    ``dots[i]`` is the integrand of piece i at the tags of ``partitions[i]``;
-    the pieces form one index space. A bound ``plan`` and a ``perturbation``
-    are used as given, in place of what ``spec`` would resolve; a
-    perturbation must be built from the one partition it weights. Otherwise
-    ``spec`` selects the deleted indices (LargestTerm ranks |integrand x
-    base measure|) and jitters piece i with seed ``spec.seed + i``. Keeping
-    a cell marked ``degenerate`` (vanishing surface normal) raises
-    DegenerateNormal. An empty list of pieces (a region declared without
-    boundary, say) is refused with DimensionMismatch.
+    ``integrands[i]``, row-wise on slabs of ``partitions[i].tags``, is
+    evaluated once per tag (:func:`fields._rowwise`); the pieces form one
+    index space. With ``degenerate`` it returns the integrand and the
+    surface normal's norm as columns, and keeping a cell whose norm is 0
+    raises DegenerateNormal. A bound ``plan`` and a ``perturbation`` are
+    used as given, in place of what ``spec`` would resolve; a perturbation
+    must be built from the one partition it weights. Otherwise ``spec``
+    selects the deleted indices (LargestTerm ranks |integrand x base
+    measure|) and jitters piece i with seed ``spec.seed + i``. No pieces (a
+    region declared without boundary, say) raise DimensionMismatch.
     """
     if not partitions:
         raise DimensionMismatch("a sum needs at least one piece")
@@ -194,6 +188,10 @@ def pieces_sum(
             "a perturbation must be built from the one partition it weights"
         )
     m = sum(p.m for p in partitions)
+    dots = [np.asarray(_rowwise(f, p.tags), float) for f, p in zip(integrands, partitions)]
+    if degenerate:  # columns: the integrand and the surface normal's norm
+        zero_norm = _joined([d[:, 1] == 0.0 for d in dots])
+        dots = [d[:, 0] for d in dots]
     terms = None  # LargestTerm's base terms, when no perturbation reweights them
     if plan is None and spec.deletes:
         if isinstance(spec.selector, LargestTerm):
@@ -208,13 +206,12 @@ def pieces_sum(
 
     if terms is None:
         terms = _joined([d * w.measures for d, w in zip(dots, pps or partitions)])
-    # Integrands a caller passed as temporaries are freed here, so they do not
-    # add to the peak memory of the reduction.
+    # Integrand values are freed here, so they do not add to the peak memory
+    # of the reduction.
     del dots
     keep = None if plan is None else _keep_mask(plan, m)
-    if degenerate is not None:
-        if np.any(degenerate if keep is None else degenerate[keep]):
-            raise DegenerateNormal("surface normal vanishes at a used tag")
+    if degenerate and np.any(zero_norm if keep is None else zero_norm[keep]):
+        raise DegenerateNormal("surface normal vanishes at a used tag")
     value, resid = neumaier_sum(terms if keep is None else terms[keep])
     deleted = 0 if keep is None else int(m - keep.sum())
     symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)
@@ -257,7 +254,9 @@ def variant_sum(
     An explicit bound ``plan`` or ``perturbation`` (built from ``p``) wins
     over what ``spec`` would resolve; see :func:`pieces_sum`.
     """
-    return pieces_sum([_values(f, p)], [p], spec, plan, perturbation)
+    if f.dim != p.dim:
+        raise DimensionMismatch(f"field dim {f.dim} != partition dim {p.dim}")
+    return pieces_sum([f], [p], spec, plan, perturbation)
 
 
 def region_sum(

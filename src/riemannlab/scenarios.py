@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownScenario
+from .errors import InvalidParameter, UnknownScenario
 from .fields import (
     ParametricRegion,
     ParametricSurface,
@@ -60,7 +60,7 @@ _REGISTRY: dict[str, Scenario] = {}
 
 def register_scenario(scenario: Scenario) -> Scenario:
     if scenario.name in _REGISTRY:
-        raise ValueError(f"scenario {scenario.name!r} already registered")
+        raise InvalidParameter(f"scenario {scenario.name!r} already registered")
     _REGISTRY[scenario.name] = scenario
     return scenario
 

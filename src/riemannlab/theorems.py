@@ -98,11 +98,11 @@ def _boundary_sum(F, pieces, partitions, spec) -> SumEstimate:
     """F summed over boundary curves or surfaces, one partition per piece."""
     if len(pieces) != len(partitions):
         raise DimensionMismatch("one boundary partition per boundary piece required")
-    dots = [
+    integrands = [
         (line_dots if isinstance(piece, Path) else surface_dots)(F, piece, part)
         for piece, part in zip(pieces, partitions)
     ]
-    return pieces_sum(dots, partitions, spec)
+    return pieces_sum(integrands, partitions, spec)
 
 
 def _two_sided(

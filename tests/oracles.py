@@ -1,10 +1,13 @@
-"""Independent naive-loop references for the sum variants.
+"""Independent naive-loop references for the sum variants, and agreement
+checks of analytic field, path and surface handles.
 
-Everything here recomputes terms one cell at a time with plain Python
-floats, decodes cell indices by hand, and accumulates with math.fsum, so it
-shares no code path with the vectorized implementations it checks. Fields
+The references recompute terms one cell at a time with plain Python
+floats, decode cell indices by hand, and accumulate with math.fsum, so they
+share no code path with the vectorized implementations they check. Fields
 used with these oracles should be polynomial (arithmetic only), keeping
-scalar and vectorized evaluation bit-identical.
+scalar and vectorized evaluation bit-identical. The agreement checks
+compare analytic derivative handles with finite differences of the
+handles they differentiate.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from riemannlab import Box, ParametricSurface, Path, ScalarField
+from riemannlab.fields import _fd_partial
 
 
 def unravel(k: int, counts) -> list[int]:
@@ -212,3 +218,63 @@ def random_poly_surface(rng):
         return np.stack([zero, one, b + c * u], axis=-1)
 
     return pos, du, dv
+
+
+# --- agreement checks of analytic handles against differences -----------------
+
+
+def _sample_box(box: Box, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    lows = np.array([lo for lo, _ in box.axes])
+    highs = np.array([hi for _, hi in box.axes])
+    return lows + rng.random((n, box.dim)) * (highs - lows)
+
+
+def gradient_deviation(f: ScalarField, box: Box, n: int = 1000, seed: int = 0) -> float:
+    """Max componentwise |analytic - FD| / (1 + |analytic|) over a sample."""
+    pts = _sample_box(box, n, seed)
+    analytic = np.asarray(f.grad(pts), dtype=float)
+    fd = np.stack([_fd_partial(f.fn, pts, a) for a in range(f.dim)], axis=-1)
+    return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
+
+
+def path_velocity_deviation(path: Path, n: int = 100, seed: int = 0) -> float:
+    """Max |vel - central FD of pos| / (1 + |vel|) at random parameters."""
+    a, b = path.domain
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+    t = a + h + rng.random(n) * ((b - a) - 2 * h)
+    vel = np.asarray(path.vel(t), dtype=float)
+    fd = (np.asarray(path.pos(t + h), float) - np.asarray(path.pos(t - h), float)) / (
+        2 * h
+    )
+    return float(np.max(np.abs(vel - fd) / (1.0 + np.abs(vel))))
+
+
+def surface_partial_deviation(
+    surface: ParametricSurface, n: int = 100, seed: int = 0
+) -> float:
+    """Max deviation of du/dv handles from central FD of pos."""
+    pts = _sample_box(surface.domain, n, seed)
+    h = 1e-6
+    worst = 0.0
+    for axis, handle in ((0, surface.du), (1, surface.dv)):
+        hi = pts.copy()
+        lo = pts.copy()
+        hi[:, axis] += h
+        lo[:, axis] -= h
+        fd = (
+            np.asarray(surface.pos(hi), float) - np.asarray(surface.pos(lo), float)
+        ) / (2 * h)
+        an = np.asarray(handle(pts), dtype=float)
+        worst = max(worst, float(np.max(np.abs(an - fd) / (1.0 + np.abs(an)))))
+    return worst
+
+
+def min_interior_normal(
+    surface: ParametricSurface, n: int = 1000, seed: int = 0
+) -> float:
+    """Smallest ||N|| over a random interior sample (regularity probe)."""
+    pts = _sample_box(surface.domain, n, seed)
+    norms = np.sqrt(np.sum(surface.normal(pts) ** 2, axis=-1))
+    return float(np.min(norms))

@@ -187,8 +187,8 @@ class TestOrientation:
         p = circle_partition(m, tag_rule="random", seed=5)
         rev_path = reverse_path(CIRCLE_2D)
         rev_p = reflect_partition(p)
-        fwd = line_dots(ROTATION_2D, CIRCLE_2D, p) * p.measures
-        bwd = line_dots(ROTATION_2D, rev_path, rev_p) * rev_p.measures
+        fwd = line_dots(ROTATION_2D, CIRCLE_2D, p)(p.tags) * p.measures
+        bwd = line_dots(ROTATION_2D, rev_path, rev_p)(rev_p.tags) * rev_p.measures
         np.testing.assert_array_equal(bwd, -fwd[::-1])
         sf = line_sum(ROTATION_2D, CIRCLE_2D, p)
         sb = line_sum(ROTATION_2D, rev_path, rev_p)
@@ -202,8 +202,8 @@ class TestOrientation:
         p = make_uniform_partition(SPHERE.domain, (6, 9), tag_rule="random", seed=3)
         swapped = swap_surface(SPHERE)
         sw_p = swap_axes_partition(p)
-        fwd = surface_dots(IDENTITY_3D, SPHERE, p) * p.measures
-        bwd = surface_dots(IDENTITY_3D, swapped, sw_p) * sw_p.measures
+        fwd = surface_dots(IDENTITY_3D, SPHERE, p)(p.tags) * p.measures
+        bwd = surface_dots(IDENTITY_3D, swapped, sw_p)(sw_p.tags) * sw_p.measures
         np.testing.assert_array_equal(bwd, -fwd.reshape(6, 9).T.ravel())
         sf = surface_sum(IDENTITY_3D, SPHERE, p)
         sb = surface_sum(IDENTITY_3D, swapped, sw_p)

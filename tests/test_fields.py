@@ -13,12 +13,6 @@ from riemannlab import (
     reverse_path,
     swap_surface,
 )
-from riemannlab.fields import (
-    gradient_deviation,
-    min_interior_normal,
-    path_velocity_deviation,
-    surface_partial_deviation,
-)
 from riemannlab.scenarios import (
     BALL_REGION,
     CIRCLE_2D,
@@ -32,6 +26,13 @@ from riemannlab.scenarios import (
     SQUARES_3D,
     scenario_names,
     get_scenario,
+)
+
+from oracles import (
+    gradient_deviation,
+    min_interior_normal,
+    path_velocity_deviation,
+    surface_partial_deviation,
 )
 
 

@@ -22,12 +22,16 @@ from riemannlab import (
     Prefix,
     RandomPick,
     RiemannLabError,
+    SumEstimate,
     TagEscape,
+    VariantSpec,
     apply_perturbation,
     bind_deletion,
+    get_scenario,
     make_partition,
     make_uniform_partition,
     perturb,
+    register_scenario,
     schedule_count,
 )
 
@@ -156,6 +160,30 @@ class TestExplicitPartition:
             tol = 8 * p.m * np.finfo(float).eps * abs(box.measure)
             assert abs(total - box.measure) <= tol
 
+
+
+# An unknown name or inconsistent label raises InvalidParameter: a package
+# error, and still a ValueError for callers that catch that.
+INVALID = {
+    "tag rule": lambda: make_uniform_partition(UNIT, 2, tag_rule="edge"),
+    "tag shape": lambda: make_partition(UNIT, [[0.0, 0.5, 1.0]], tags=np.zeros((3, 1))),
+    "tag outside its cell": lambda: make_partition(
+        UNIT, [[0.0, 0.5, 1.0]], tags=[[0.6], [0.7]]
+    ),
+    "variant kind": lambda: VariantSpec("halved"),
+    "estimate variant": lambda: SumEstimate(1.0, 2, 0.5, 0, 0.0, "halved", 0.0),
+    "deleted count of a full sum": lambda: SumEstimate(1.0, 2, 0.5, 1, 0.0, "full", 0.0),
+    "symdiff of a deleted sum": lambda: SumEstimate(1.0, 2, 0.5, 0, 0.1, "deleted", 0.0),
+    "scenario registered twice": lambda: register_scenario(get_scenario("box.sinprod.2d")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_invalid_names_and_labels_raise_typed_errors(case):
+    with pytest.raises(RiemannLabError) as info:
+        INVALID[case]()
+    assert isinstance(info.value, InvalidParameter)
+    assert isinstance(info.value, ValueError)
 
 class TestPerturbation:
     def test_forced_breakpoint_example(self):
