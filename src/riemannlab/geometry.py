@@ -4,11 +4,11 @@ This is the combinatorial substrate every sum variant consumes: an
 n-dimensional box is split per axis into strictly increasing breakpoints,
 cells are the Cartesian products of the axis segments (C-order, axis 0
 slowest), and each cell carries one tag point. All per-cell geometry is
-per-axis: a cell's bounds are its axis segments, and ``Partition.tag_grid``
-lays the tags out on the cell grid so per-axis breakpoints broadcast against
-them. A perturbed partition keeps the same cells-by-index structure but
-jitters interior breakpoints, and a deletion plan names the cell indices a
-sum should drop.
+per-axis: a cell's bounds are its axis segments, and the tag checks read only
+``Partition.tag_extents``, each segment's least and greatest tag coordinate.
+A perturbed partition keeps the same cells-by-index structure but jitters
+interior breakpoints, and a deletion plan names the cell indices a sum
+should drop.
 
 All constructed values are immutable and deterministic: equal inputs
 (including seeds) give bit-identical state.
@@ -86,7 +86,8 @@ class Partition:
     measures used in all sums; for uniform constructions they are stored as
     the exact common width so equal partitions have bitwise-equal cell
     measures. ``tags`` is (m, dim), one point per cell, inside the closed
-    cell; ``tag_grid`` is the same array viewed as ``counts + (dim,)``.
+    cell; ``tag_extents`` reduces them per axis in one cached pass, after which
+    the tag checks cost O(sum of counts).
     ``is_equal`` means every cell has the same measure.
     """
 
@@ -121,8 +122,17 @@ class Partition:
 
     @property
     def tag_grid(self) -> np.ndarray:
-        """``tags`` on the cell grid: ``tag_grid[i_1, ..., i_n]`` is a tag."""
+        """``tags`` on the cell grid: ``tag_grid[i_1, ..., i_n]`` is a tag. It is
+        read to build ``tag_extents`` and the mirrored and swapped partitions."""
         return self.tags.reshape(self.counts + (self.dim,))
+
+    @cached_property
+    def tag_extents(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per axis a, ``(lo, hi)``: the least and greatest a-coordinate of
+        the tags in each a-segment's slab of cells (nan if a tag is nan)."""
+        coords = np.moveaxis(self.tag_grid, -1, 0)
+        others = [tuple(j for j in range(self.dim) if j != a) for a in range(self.dim)]
+        return tuple((c.min(axis=o), c.max(axis=o)) for c, o in zip(coords, others))
 
 
 def _validate_breakpoints(box: Box, breakpoints) -> tuple[np.ndarray, ...]:
@@ -148,14 +158,11 @@ def _check_cell_cap(counts) -> int:
     return m
 
 
-def _escaped_axis(tag_grid: np.ndarray, breakpoints) -> int | None:
-    """First axis on which some tag leaves its closed cell, or None."""
-    for axis, b in enumerate(breakpoints):
-        shape = [1] * len(breakpoints)
-        shape[axis] = -1
-        coord = tag_grid[..., axis]
-        lo, hi = b[:-1].reshape(shape), b[1:].reshape(shape)
-        if not (np.all(coord >= lo) and np.all(coord <= hi)):
+def _escaped_axis(extents, breakpoints) -> int | None:
+    """First axis on which some tag leaves its closed cell, or None: on each
+    axis, a slab's tags lie in their cells exactly when its extents do."""
+    for axis, ((lo, hi), b) in enumerate(zip(extents, breakpoints)):
+        if not (np.all(lo >= b[:-1]) and np.all(hi <= b[1:])):
             return axis
     return None
 
@@ -186,19 +193,18 @@ def make_partition(
     C-order); they must lie inside the closed cells.
     """
     breaks = _validate_breakpoints(box, breakpoints)
-    counts = tuple(len(b) - 1 for b in breaks)
-    m = _check_cell_cap(counts)
+    m = _check_cell_cap(len(b) - 1 for b in breaks)
     widths = tuple(np.diff(b) for b in breaks)
-    if tags is None:
-        tags = _make_tags(breaks, tag_rule, seed)
-    else:
-        tags = np.array(tags, dtype=float, order="C")
-        if tags.shape != (m, box.dim):
-            raise InvalidParameter(f"tags must have shape ({m}, {box.dim})")
-        if _escaped_axis(tags.reshape(counts + (box.dim,)), breaks) is not None:
-            raise InvalidParameter("explicit tags must lie inside their closed cells")
     is_equal = all(bool(np.all(w == w[0])) for w in widths)
-    return Partition(box, breaks, widths, tags, is_equal)
+    if tags is None:
+        return Partition(box, breaks, widths, _make_tags(breaks, tag_rule, seed), is_equal)
+    tags = np.array(tags, dtype=float, order="C")
+    if tags.shape != (m, box.dim):
+        raise InvalidParameter(f"tags must have shape ({m}, {box.dim})")
+    p = Partition(box, breaks, widths, tags, is_equal)
+    if _escaped_axis(p.tag_extents, breaks) is not None:  # p keeps its extents
+        raise InvalidParameter("explicit tags must lie inside their closed cells")
+    return p
 
 
 def make_uniform_partition(
@@ -257,7 +263,8 @@ def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
     base. ``symdiff_total`` is assembled from correctly rounded per-axis sums
     of segment widths and overlaps, in O(sum of counts) work; no per-cell
     array is built. Raises :class:`TagEscape` if any base tag falls outside the
-    intersection of its base and perturbed cell.
+    intersection of its base and perturbed cell, read from ``p.tag_extents``
+    (one cached pass over the tags, then O(sum of counts)).
     """
     pert = _validate_breakpoints(p.parent, breakpoints)
     if tuple(len(b) - 1 for b in pert) != p.counts:
@@ -288,7 +295,7 @@ def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
         if axis + 1 < p.dim:  # only later axes read o_sum
             o_sum *= neumaier_sum(ov)[0]
 
-    axis = _escaped_axis(p.tag_grid, pert)
+    axis = _escaped_axis(p.tag_extents, pert)
     if axis is not None:
         raise TagEscape(f"axis {axis}: a base tag left the base/perturbed intersection")
     return PerturbedPartition(p, pert, tuple(pert_widths), t0 + t1)
@@ -301,20 +308,17 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
     smallest segment on that axis, so breakpoints stay strictly increasing
     and the total symmetric difference vanishes as the partition refines.
     Draws are clamped so every base tag stays inside both its base and
-    perturbed cell; endpoints never move.
+    perturbed cell, by ``p.tag_extents`` (one cached pass over the tags, then
+    O(sum of counts)); endpoints never move.
     """
     if not 0.0 <= gamma < 1.0:
         raise InvalidParameter(f"gamma must be in [0, 1), got {gamma}")
     rng = np.random.default_rng(seed)
     mesh_sq = p.mesh**2
-    grid = p.tag_grid
 
     new_breaks = []
     for axis, (breaks, widths) in enumerate(zip(p.breakpoints, p.axis_widths)):
-        interior = breaks[1:-1]
-        if len(interior) == 0:
-            new_breaks.append(breaks.copy())
-            continue
+        interior = breaks[1:-1]  # empty on a one-cell axis: no draw, no move
         g_min = float(np.min(widths))
         h = gamma * min(mesh_sq, g_min / 2.0)
         shifts = rng.uniform(-h, h, size=len(interior))
@@ -322,11 +326,7 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
         # Slab-wise tag extrema along this axis bound each breakpoint's
         # admissible range; tags live in closed cells, so the range always
         # contains the base breakpoint.
-        coord = grid[..., axis]
-        others = tuple(a for a in range(p.dim) if a != axis)
-        slab_max = coord.max(axis=others)
-        slab_min = coord.min(axis=others)
-
+        slab_min, slab_max = p.tag_extents[axis]
         lower = np.maximum(interior - h, slab_max[:-1])
         upper = np.minimum(interior + h, slab_min[1:])
         moved = np.clip(interior + shifts, lower, upper)

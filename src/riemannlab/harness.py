@@ -77,8 +77,6 @@ def evaluate_scenario(
     ``boundary_factor * m_axis``. Scenarios that are not theorem checks have
     no boundary, and refuse a ``boundary_m``.
     """
-    if sc.kind not in ("box", "line", "surface", *THEOREM_KINDS):
-        raise ValueError(f"unknown scenario kind {sc.kind!r}")
     if boundary_m is not None and sc.kind not in THEOREM_KINDS:
         raise RiemannLabError(
             f"{sc.name} is a {sc.kind} scenario with no boundary; boundary_m "

@@ -27,6 +27,15 @@ from .geometry import Box
 
 TWO_PI = 2.0 * math.pi
 THEOREM_KINDS = ("green", "gauss", "stokes")  # the kinds checked two-sided
+# The fields each kind reads, besides ``field``.
+_KIND_FIELDS = {
+    "box": ("box",),
+    "line": ("path",),
+    "surface": ("surface",),
+    "green": ("region",),
+    "gauss": ("region",),
+    "stokes": ("surface", "path"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +68,20 @@ _REGISTRY: dict[str, Scenario] = {}
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
+    """Add ``scenario`` to the registry once its kind and fields are known
+    to suit each other; raises :class:`InvalidParameter` otherwise."""
     if scenario.name in _REGISTRY:
         raise InvalidParameter(f"scenario {scenario.name!r} already registered")
+    if scenario.kind not in _KIND_FIELDS:
+        raise InvalidParameter(
+            f"scenario {scenario.name!r}: unknown kind {scenario.kind!r}; "
+            f"expected one of {tuple(_KIND_FIELDS)}"
+        )
+    for name in ("field", *_KIND_FIELDS[scenario.kind]):
+        if getattr(scenario, name) is None:
+            raise InvalidParameter(
+                f"scenario {scenario.name!r}: a {scenario.kind} scenario needs a {name}"
+            )
     _REGISTRY[scenario.name] = scenario
     return scenario
 

@@ -127,6 +127,51 @@ def naive_symdiff(base, perturbed) -> list[float]:
     return out
 
 
+def per_cell_escaped_axis(tags, counts, breakpoints):
+    """First axis on which some tag leaves its closed cell, or None, checked
+    one cell at a time against that cell's segment on each axis (nan fails
+    every comparison, so a nan tag escapes)."""
+    breaks = [b.tolist() for b in breakpoints]
+    cells = [unravel(k, counts) for k in range(math.prod(counts))]
+    rows = np.asarray(tags, dtype=float).tolist()
+    for axis, b in enumerate(breaks):
+        for idx, tag in zip(cells, rows):
+            j = idx[axis]
+            if not b[j] <= tag[axis] <= b[j + 1]:
+                return axis
+    return None
+
+
+def slab_scan_breakpoints(p, gamma, seed):
+    """``perturb``'s jittered breakpoints before its collapse check, with each
+    axis's slab tag extrema found by a scan over every cell. The draws and
+    the clamp arithmetic are those of ``perturb``."""
+    rng = np.random.default_rng(seed)
+    mesh_sq = p.mesh**2
+    cells = [unravel(k, p.counts) for k in range(p.m)]
+    rows = p.tags.tolist()
+    out = []
+    for axis, (breaks, widths) in enumerate(zip(p.breakpoints, p.axis_widths)):
+        count = len(widths)
+        if count == 1:
+            out.append(breaks.copy())
+            continue
+        h = gamma * min(mesh_sq, float(np.min(widths)) / 2.0)
+        shifts = rng.uniform(-h, h, size=count - 1)
+        slab_min, slab_max = [math.inf] * count, [-math.inf] * count
+        for idx, tag in zip(cells, rows):
+            j = idx[axis]
+            slab_min[j] = min(slab_min[j], tag[axis])
+            slab_max[j] = max(slab_max[j], tag[axis])
+        interior = breaks[1:-1]
+        lower = np.maximum(interior - h, np.array(slab_max[:-1]))
+        upper = np.minimum(interior + h, np.array(slab_min[1:]))
+        b = breaks.copy()
+        b[1:-1] = np.clip(interior + shifts, lower, upper)
+        out.append(b)
+    return tuple(out)
+
+
 def naive_total(terms, deleted=()) -> float:
     dropped = set(deleted)
     return math.fsum(t for k, t in enumerate(terms) if k not in dropped)

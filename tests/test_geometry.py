@@ -18,6 +18,7 @@ from riemannlab import (
     LargestTerm,
     Logarithmic,
     MissingTerms,
+    Partition,
     PowerLaw,
     Prefix,
     RandomPick,
@@ -35,9 +36,15 @@ from riemannlab import (
     schedule_count,
 )
 
-from riemannlab.geometry import select_indices
+from riemannlab.geometry import _escaped_axis, select_indices
 
-from oracles import argsort_top_k, naive_symdiff, unravel
+from oracles import (
+    argsort_top_k,
+    naive_symdiff,
+    per_cell_escaped_axis,
+    slab_scan_breakpoints,
+    unravel,
+)
 
 UNIT = Box(((0.0, 1.0),))
 
@@ -324,6 +331,135 @@ class TestPerturbation:
         np.testing.assert_array_equal(a.axis_widths[0], b.axis_widths[0])
         assert naive_symdiff(p1, a) == naive_symdiff(p2, b)
         assert a.symdiff_total == b.symdiff_total
+
+
+# Tag values that sit on, or just past, a face of the tag's cell on one axis.
+EDGE_TAGS = {
+    "lower face": lambda lo, hi: lo,
+    "upper face": lambda lo, hi: hi,
+    "one ulp below": lambda lo, hi: np.nextafter(lo, -np.inf),
+    "one ulp above": lambda lo, hi: np.nextafter(hi, np.inf),
+    "nan": lambda lo, hi: np.nan,
+    "inf": lambda lo, hi: np.inf,
+    "-inf": lambda lo, hi: -np.inf,
+}
+
+
+@st.composite
+def quarter_grids(draw):
+    """A 1-3 D box whose breakpoints lie on a grid of quarters (exact in
+    binary, at least 1/4 apart)."""
+    dim = draw(st.integers(1, 3))
+    axes, breaks = [], []
+    for _ in range(dim):
+        lo = draw(st.integers(-3, 3)) / 2
+        steps = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+        b = lo + np.cumsum([0] + steps) / 4
+        axes.append((lo, float(b[-1])))
+        breaks.append(b)
+    return Box(tuple(axes)), tuple(breaks)
+
+
+@st.composite
+def tagged_grids(draw):
+    """A quarter grid with one tag per cell: drawn inside the cell, then up
+    to three coordinates moved onto a face, one ulp past it, nan or inf."""
+    box, breaks = draw(quarter_grids())
+    counts = tuple(len(b) - 1 for b in breaks)
+    cells = [unravel(k, counts) for k in range(math.prod(counts))]
+    tags = np.empty((len(cells), box.dim))
+    for k, idx in enumerate(cells):
+        for a, j in enumerate(idx):
+            lo, hi = breaks[a][j], breaks[a][j + 1]
+            tags[k, a] = min(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), hi)
+    edit = st.tuples(
+        st.integers(0, len(cells) - 1),
+        st.integers(0, box.dim - 1),
+        st.sampled_from(sorted(EDGE_TAGS)),
+    )
+    for k, a, kind in draw(st.lists(edit, max_size=3)):
+        j = cells[k][a]
+        tags[k, a] = EDGE_TAGS[kind](breaks[a][j], breaks[a][j + 1])
+    return box, breaks, tags
+
+
+def _unchecked_partition(box, breaks, tags):
+    """A partition holding ``tags`` as given, wherever they lie."""
+    return Partition(box, breaks, tuple(np.diff(b) for b in breaks), tags, False)
+
+
+class TestTagExtents:
+    """Per-axis tag extents decide what the per-cell references decide."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tagged_grids())
+    def test_explicit_tag_check_matches_per_cell_reference(self, grid):
+        box, breaks, tags = grid
+        counts = tuple(len(b) - 1 for b in breaks)
+        expected = per_cell_escaped_axis(tags, counts, breaks)
+        p = _unchecked_partition(box, breaks, tags)
+        assert _escaped_axis(p.tag_extents, breaks) == expected
+        if expected is None:
+            assert make_partition(box, breaks, tags=tags).tags.tobytes() == tags.tobytes()
+        else:
+            with pytest.raises(InvalidParameter, match="inside their closed cells"):
+                make_partition(box, breaks, tags=tags)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tagged_grids(), st.data())
+    def test_perturbation_tag_check_matches_per_cell_reference(self, grid, data):
+        box, breaks, tags = grid
+        pert = []
+        for b in breaks:  # interior moves of 1/16 keep 1/4-spaced points increasing
+            moves = st.sampled_from((-1 / 16, 0.0, 1 / 16))
+            q = b.copy()
+            q[1:-1] += data.draw(st.lists(moves, min_size=len(b) - 2, max_size=len(b) - 2))
+            pert.append(q)
+        counts = tuple(len(b) - 1 for b in breaks)
+        expected = per_cell_escaped_axis(tags, counts, pert)
+        p = _unchecked_partition(box, breaks, tags)
+        if expected is None:
+            apply_perturbation(p, pert)
+        else:
+            with pytest.raises(TagEscape, match=f"^axis {expected}: a base tag left"):
+                apply_perturbation(p, pert)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quarter_grids(),
+        st.booleans(),
+        st.sampled_from(["midpoint", "corner", "random", "explicit"]),
+        st.integers(0, 2**16),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_perturb_matches_slab_scan_clamp(self, grid, uniform, rule, seed, gamma):
+        box, breaks = grid
+        if uniform:
+            breaks = make_uniform_partition(box, [len(b) - 1 for b in breaks]).breakpoints
+        if rule == "explicit":
+            tags = make_partition(box, breaks, "random", seed).tags
+            p = make_partition(box, breaks, tags=tags)
+        else:
+            p = make_partition(box, breaks, rule, seed)
+        expected = slab_scan_breakpoints(p, gamma, seed)
+        collapsed = [a for a, b in enumerate(expected) if not np.all(np.diff(b) > 0)]
+        if collapsed:
+            with pytest.raises(TagEscape, match=f"^axis {collapsed[0]}: clamped"):
+                perturb(p, gamma, seed)
+            return
+        pp = perturb(p, gamma, seed)
+        for got, want in zip(pp.breakpoints, expected):
+            assert got.tobytes() == want.tobytes()
+        want = apply_perturbation(p, expected).symdiff_total
+        assert pp.symdiff_total.hex() == want.hex()
+
+    def test_an_explicit_tag_partition_keeps_its_checked_extents(self):
+        box = Box(((0.0, 1.0), (0.0, 2.0)))
+        p = make_partition(box, [[0.0, 0.5, 1.0], [0.0, 2.0]], tags=[[0.0, 0.5], [1.0, 2.0]])
+        assert "tag_extents" in vars(p)  # cached by the check, read again by perturb
+        (lo0, hi0), (lo1, hi1) = p.tag_extents
+        assert lo0.tolist() == [0.0, 1.0] and hi0.tolist() == [0.0, 1.0]
+        assert lo1.tolist() == [0.5] and hi1.tolist() == [2.0]
 
 
 class TestDeletionPlan:

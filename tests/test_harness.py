@@ -1,9 +1,11 @@
+import dataclasses
 import io
 
 import pytest
 
 from riemannlab import (
     FixedK,
+    InvalidParameter,
     IoFailure,
     NonMonotoneMList,
     Prefix,
@@ -11,6 +13,7 @@ from riemannlab import (
     UnknownScenario,
     VariantSpec,
     emit_csv,
+    register_scenario,
     render_csv,
     run_sweep,
 )
@@ -48,6 +51,33 @@ class TestRegistry:
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
             get_scenario("box.nope")
+
+
+# Per kind, a registered scenario of that kind and the fields it reads.
+KIND_NEEDS = {
+    "box": ("box.sinprod.2d", ("field", "box")),
+    "line": ("line.circle.scalar", ("field", "path")),
+    "surface": ("surface.sphere.area", ("field", "surface")),
+    "green": ("green.disk.rotation", ("field", "region")),
+    "gauss": ("gauss.ball.identity", ("field", "region")),
+    "stokes": ("stokes.hemisphere.rotation", ("field", "surface", "path")),
+}
+MISFITS = {"kind boxx": ("box.sinprod.2d", {"kind": "boxx"}, "unknown kind 'boxx'")}
+for _kind, (_template, _needs) in KIND_NEEDS.items():
+    for _name in _needs:
+        MISFITS[f"{_kind} without {_name}"] = (
+            _template, {_name: None}, f"a {_kind} scenario needs a {_name}"
+        )
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_a_scenario_that_misfits_its_kind_is_refused_at_registration(case):
+    template, changes, message = MISFITS[case]
+    sc = dataclasses.replace(get_scenario(template), name="misfit", **changes)
+    before = scenario_names()
+    with pytest.raises(InvalidParameter, match=message):
+        register_scenario(sc)
+    assert scenario_names() == before
 
 
 class TestRunSweep:

@@ -7,6 +7,7 @@ match bit for bit.
 """
 
 import math
+import multiprocessing
 import os
 import sys
 import threading
@@ -162,6 +163,37 @@ def test_a_handle_that_sums_in_a_pool_thread_returns():
     inner = variant_sum(inner_f, inner_p).value
     expected = math.fsum((outer.tags[:, 0] * inner * outer.measures).tolist())
     assert result[0].value == expected
+
+
+def _send_child_sum(conn, f, p):
+    conn.send((fields._pool is None, variant_sum(f, p).value.hex()))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_starts_without_the_pool_and_sums_the_same():
+    f = ScalarField(2, _scalar)
+    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
+    value = variant_sum(f, p).value.hex()
+    assert (fields._pool is not None) == (_cpus() > 1)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_child_sum, args=(send, f, p), daemon=True)
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "the forked child sent nothing within 60 s"
+        fresh, child_value = receive.recv()
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert fresh, "the forked child inherited the parent's pool"
+    assert child_value == value
 
 
 # --- the theorem checks at the benchmark's resolutions ---------------------------
