@@ -9,10 +9,11 @@ gives the same values as evaluating it whole. Every constructed object is
 immutable and safe to evaluate from many threads.
 
 The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
-integrand with :func:`_rowwise`: in fixed C-order slabs of ``_SLAB_ROWS``
-rows, spread over a pool of one thread per available CPU and written into
-one output array. Elementwise results do not depend on where a slab starts,
-so the values do not depend on the thread count or on the schedule.
+integrand with :func:`_rowwise`: in C-order slabs of at most ``_SLAB_ROWS``
+tags, each built where it is evaluated, spread over a pool of one thread
+per available CPU and written into one output array. Row-wise results do
+not depend on where a slab starts, so the values do not depend on the slab
+bounds, the thread count or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied.
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Box
+from .geometry import Box, Partition, slab_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,23 +168,33 @@ def _slab_pool() -> ThreadPoolExecutor | None:
     return _pool
 
 
-def _rowwise(fn: Callable, points: np.ndarray):
-    """``fn(points)`` for a row-wise ``fn``, evaluated in slabs of rows.
+def _rowwise(fn: Callable, source):
+    """``fn`` of every row of ``source`` for a row-wise ``fn``, in slabs of rows.
 
-    At most ``_SLAB_ROWS`` rows are one call. Otherwise the caller evaluates
-    the first slab, which fixes the trailing shape of the float output (a
-    0-d result is broadcast over the rows). Then the caller and the pool
-    threads take the other slabs in order and fill that one preallocated
-    array. The exception of the lowest failing slab propagates as raised.
+    ``source`` is a batch of points or a :class:`Partition`, whose tags each
+    slab builds where it is evaluated (``Partition.tag_slabs``), so no
+    (m, dim) tag array is made. Slabs are the :func:`slab_bounds` of the
+    rows, at most ``_SLAB_ROWS`` each. One slab is one call. Otherwise the
+    caller evaluates the first slab, which fixes the trailing shape of the
+    float output (a 0-d result is broadcast over the rows). Then the caller
+    and the pool threads take the other slabs in order and fill that one
+    preallocated array. The exception of the lowest failing slab propagates
+    as raised.
     """
-    n = len(points)
-    if n <= _SLAB_ROWS:
-        return fn(points)
-    first = np.asarray(fn(points[:_SLAB_ROWS]), dtype=float)
+    if isinstance(source, Partition):
+        bounds, rows = source.tag_slabs(_SLAB_ROWS)
+    else:
+        bounds = slab_bounds((len(source),), _SLAB_ROWS)
+        rows = lambda start, stop: source[start:stop]
+    n = bounds[-1][1]
+    if len(bounds) == 1:
+        return fn(rows(0, n))
+    first_stop = bounds[0][1]
+    first = np.asarray(fn(rows(0, first_stop)), dtype=float)
     out = np.empty((n,) + first.shape[1:])
-    out[:_SLAB_ROWS] = first
+    out[:first_stop] = first
     del first
-    starts = iter(range(_SLAB_ROWS, n, _SLAB_ROWS))
+    slabs = iter(bounds[1:])
     take = threading.Lock()
     failures = {}  # slab start -> its exception
 
@@ -192,19 +203,18 @@ def _rowwise(fn: Callable, points: np.ndarray):
         # is already taken, and taking no more keeps the lowest failure.
         while not failures:
             with take:
-                start = next(starts, None)
-            if start is None:
+                slab = next(slabs, None)
+            if slab is None:
                 return
-            stop = start + _SLAB_ROWS
+            start, stop = slab
             try:
-                out[start:stop] = np.asarray(fn(points[start:stop]), dtype=float)
+                out[start:stop] = np.asarray(fn(rows(start, stop)), dtype=float)
             except Exception as exc:
                 failures[start] = exc
 
     pool = _slab_pool()
-    remaining = (n - 1) // _SLAB_ROWS
     helpers = [] if pool is None else [
-        pool.submit(drain) for _ in range(min(_helpers, remaining - 1))
+        pool.submit(drain) for _ in range(min(_helpers, len(bounds) - 2))
     ]
     drain()
     for helper in helpers:

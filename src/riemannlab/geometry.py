@@ -4,11 +4,14 @@ This is the combinatorial substrate every sum variant consumes: an
 n-dimensional box is split per axis into strictly increasing breakpoints,
 cells are the Cartesian products of the axis segments (C-order, axis 0
 slowest), and each cell carries one tag point. All per-cell geometry is
-per-axis: a cell's bounds are its axis segments, and the tag checks read only
+per-axis: a cell's bounds are its axis segments, midpoint and corner tags
+are one coordinate array per axis, and the tag checks read only
 ``Partition.tag_extents``, each segment's least and greatest tag coordinate.
-A perturbed partition keeps the same cells-by-index structure but jitters
-interior breakpoints, and a deletion plan names the cell indices a sum
-should drop.
+No midpoint or corner partition holds a per-cell array: the kernel builds
+the tags of each slab of cells where it evaluates them
+(``Partition.tag_slabs``). A perturbed partition keeps the same
+cells-by-index structure but jitters interior breakpoints, and a deletion
+plan names the cell indices a sum should drop.
 
 All constructed values are immutable and deterministic: equal inputs
 (including seeds) give bit-identical state.
@@ -77,6 +80,30 @@ def _outer_product(per_axis) -> np.ndarray:
     return out.ravel()
 
 
+def _slab_axis(counts, max_rows) -> int:
+    """The first axis whose trailing block of ``prod(counts[j+1:])`` cells
+    has at most ``max_rows`` cells."""
+    return next(j for j in range(len(counts)) if math.prod(counts[j + 1 :]) <= max_rows)
+
+
+def slab_bounds(counts, max_rows) -> list[tuple[int, int]]:
+    """C-order slabs ``(start, stop)`` of at most ``max_rows`` cells of a
+    ``counts`` grid, covering it in order.
+
+    A slab is a run of whole trailing blocks along the :func:`_slab_axis` j,
+    with the axes before j held fixed; all cells are one slab when they fit.
+    """
+    j = _slab_axis(counts, max_rows)
+    block = math.prod(counts[j + 1 :])
+    row = counts[j] * block  # the cells of one run of axis j
+    step = row if row <= max_rows else int(max_rows // block) * block
+    return [
+        (start, min(start + step, base + row))
+        for base in range(0, math.prod(counts), row)
+        for start in range(base, base + row, step)
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Tagged tensor-product partition of a box.
@@ -85,16 +112,21 @@ class Partition:
     strictly increasing. ``axis_widths[i]`` are the canonical segment
     measures used in all sums; for uniform constructions they are stored as
     the exact common width so equal partitions have bitwise-equal cell
-    measures. ``tags`` is (m, dim), one point per cell, inside the closed
-    cell; ``tag_extents`` reduces them per axis in one cached pass, after which
-    the tag checks cost O(sum of counts).
+    measures. Each cell has one tag inside the closed cell, and
+    ``tag_source`` holds them in one of two forms. Grid tags (midpoint and
+    corner) are a tuple of per-axis coordinate arrays: cell
+    ``(i_1, ..., i_n)`` has the tag ``(c_1[i_1], ..., c_n[i_n])``, so they
+    cost O(sum of counts) and are their own ``tag_extents``. Random and
+    explicit tags are stored as an (m, dim) array, which ``tag_extents``
+    reduces per axis in one cached pass. Either way the tag checks then cost
+    O(sum of counts), and sums build tags a slab at a time (``tag_slabs``).
     ``is_equal`` means every cell has the same measure.
     """
 
     parent: Box
     breakpoints: tuple[np.ndarray, ...]
     axis_widths: tuple[np.ndarray, ...]
-    tags: np.ndarray
+    tag_source: np.ndarray | tuple[np.ndarray, ...]
     is_equal: bool
 
     @property
@@ -121,15 +153,64 @@ class Partition:
         return float(math.sqrt(sum(float(np.max(w)) ** 2 for w in self.axis_widths)))
 
     @property
+    def tag_axes(self) -> tuple[np.ndarray, ...] | None:
+        """Grid tags' per-axis coordinates, or None for stored tags."""
+        return self.tag_source if isinstance(self.tag_source, tuple) else None
+
+    @property
+    def tags(self) -> np.ndarray:
+        """The (m, dim) tags, C-order. Stored tags are returned as they are;
+        grid tags are materialised on each access, at m * dim * 8 bytes,
+        and sums never ask for them."""
+        axes = self.tag_axes
+        return self.tag_source if axes is None else _grid_stack(axes)
+
+    @property
     def tag_grid(self) -> np.ndarray:
         """``tags`` on the cell grid: ``tag_grid[i_1, ..., i_n]`` is a tag. It is
-        read to build ``tag_extents`` and the mirrored and swapped partitions."""
+        read to reduce, mirror and swap stored tags."""
         return self.tags.reshape(self.counts + (self.dim,))
+
+    def tag_slabs(self, max_rows):
+        """``(bounds, rows)``: the :func:`slab_bounds` of the cells, and a
+        function ``rows(start, stop)`` that gives ``tags[start:stop]`` for
+        each of them. Stored tags are sliced (a view); grid tags are built
+        column by column by broadcasting, in a new (stop - start, dim) array.
+        """
+        bounds = slab_bounds(self.counts, max_rows)
+        axes = self.tag_axes
+        if axes is None:
+            return bounds, lambda start, stop: self.tag_source[start:stop]
+        counts, dim = self.counts, self.dim
+        j = _slab_axis(counts, max_rows)
+        block = math.prod(counts[j + 1 :])
+        run_shape = (1,) * (dim - 1 - j)
+        trailing = [
+            (a, axes[a].reshape((-1,) + (1,) * (dim - 1 - a))) for a in range(j + 1, dim)
+        ]
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            run = (stop - start) // block
+            out = np.empty((run,) + counts[j + 1 :] + (dim,))
+            lead, i = divmod(start // block, counts[j])
+            out[..., j] = axes[j][i : i + run].reshape((run,) + run_shape)
+            for a in range(j - 1, -1, -1):  # the axes held fixed
+                lead, k = divmod(lead, counts[a])
+                out[..., a] = axes[a][k]
+            for a, coords in trailing:
+                out[..., a] = coords
+            return out.reshape(stop - start, dim)
+
+        return bounds, rows
 
     @cached_property
     def tag_extents(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per axis a, ``(lo, hi)``: the least and greatest a-coordinate of
-        the tags in each a-segment's slab of cells (nan if a tag is nan)."""
+        the tags in each a-segment's slab of cells (nan if a tag is nan).
+        Grid tags are their own extents, ``(c_a, c_a)``."""
+        axes = self.tag_axes
+        if axes is not None:
+            return tuple((c, c) for c in axes)
         coords = np.moveaxis(self.tag_grid, -1, 0)
         others = [tuple(j for j in range(self.dim) if j != a) for a in range(self.dim)]
         return tuple((c.min(axis=o), c.max(axis=o)) for c, o in zip(coords, others))
@@ -167,11 +248,12 @@ def _escaped_axis(extents, breakpoints) -> int | None:
     return None
 
 
-def _make_tags(breakpoints, tag_rule: str, seed: int) -> np.ndarray:
+def _make_tags(breakpoints, tag_rule: str, seed: int):
+    """A partition's ``tag_source``: per-axis coordinates for grid tags."""
     if tag_rule == "midpoint":
-        return _grid_stack([(b[:-1] + b[1:]) / 2.0 for b in breakpoints])
+        return tuple((b[:-1] + b[1:]) / 2.0 for b in breakpoints)
     if tag_rule == "corner":
-        return _grid_stack([b[:-1] for b in breakpoints])
+        return tuple(b[:-1] for b in breakpoints)
     if tag_rule == "random":
         lows = _grid_stack([b[:-1] for b in breakpoints])
         widths = _grid_stack([np.diff(b) for b in breakpoints])
@@ -347,30 +429,40 @@ def reflect_partition(p: Partition) -> Partition:
 
     Negation is exact in floating point, so cell bounds, stored widths, and
     tags all map bitwise; cell k of the result is the mirror image of cell
-    m-1-k (per axis) of the input.
+    m-1-k (per axis) of the input. Grid tags map per axis, to ``-c[::-1]``.
     """
     box = Box(tuple((-hi, -lo) for lo, hi in p.parent.axes))
     breaks = tuple(-b[::-1] for b in p.breakpoints)
     widths = tuple(w[::-1].copy() for w in p.axis_widths)
-    tags = -np.flip(p.tag_grid, axis=tuple(range(p.dim))).reshape(p.m, p.dim)
-    return Partition(box, breaks, widths, np.ascontiguousarray(tags), p.is_equal)
+    axes = p.tag_axes
+    if axes is not None:
+        tags = tuple(-c[::-1] for c in axes)
+    else:
+        flipped = -np.flip(p.tag_grid, axis=tuple(range(p.dim))).reshape(p.m, p.dim)
+        tags = np.ascontiguousarray(flipped)
+    return Partition(box, breaks, widths, tags, p.is_equal)
 
 
 def swap_axes_partition(p: Partition) -> Partition:
     """Swap the two axes of a 2D partition (for surface orientation flips).
 
     Widths and tags are carried over bitwise; cell (i, j) becomes cell
-    (j, i) of the result.
+    (j, i) of the result. Grid tags swap their two coordinate arrays.
     """
     if p.dim != 2:
         raise DegenerateBox("axis swap is defined for 2D partitions")
     box = Box((p.parent.axes[1], p.parent.axes[0]))
-    tags = p.tag_grid.transpose(1, 0, 2)[..., ::-1].reshape(p.m, 2)
+    axes = p.tag_axes
+    if axes is not None:
+        tags = (axes[1], axes[0])
+    else:
+        swapped = p.tag_grid.transpose(1, 0, 2)[..., ::-1].reshape(p.m, 2)
+        tags = np.ascontiguousarray(swapped)
     return Partition(
         box,
         (p.breakpoints[1], p.breakpoints[0]),
         (p.axis_widths[1], p.axis_widths[0]),
-        np.ascontiguousarray(tags),
+        tags,
         p.is_equal,
     )
 

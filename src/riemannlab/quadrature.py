@@ -168,7 +168,7 @@ def pieces_sum(
 ) -> SumEstimate:
     """Sum integrand x cell measure over tagged pieces, in any variant.
 
-    ``integrands[i]``, row-wise on slabs of ``partitions[i].tags``, is
+    ``integrands[i]``, row-wise on slabs of the tags of ``partitions[i]``, is
     evaluated once per tag (:func:`fields._rowwise`); the pieces form one
     index space. With ``degenerate`` it returns the integrand and the
     surface normal's norm as columns, and keeping a cell whose norm is 0
@@ -188,7 +188,7 @@ def pieces_sum(
             "a perturbation must be built from the one partition it weights"
         )
     m = sum(p.m for p in partitions)
-    dots = [np.asarray(_rowwise(f, p.tags), float) for f, p in zip(integrands, partitions)]
+    dots = [np.asarray(_rowwise(f, p), float) for f, p in zip(integrands, partitions)]
     if degenerate:  # columns: the integrand and the surface normal's norm
         zero_norm = _joined([d[:, 1] == 0.0 for d in dots])
         dots = [d[:, 0] for d in dots]
@@ -280,9 +280,10 @@ def region_sum(
 def field_bound(f: ScalarField, p: Partition) -> tuple[float, bool]:
     """(M, declared): the declared sup bound, or a tag-sample estimate.
 
-    Bound-inequality checks must be skipped when ``declared`` is False;
+    The estimate is the largest |f| at the tags, evaluated in slabs as sums
+    are. Bound-inequality checks must be skipped when ``declared`` is False;
     testing an estimated bound against itself would be tautological.
     """
     if f.bound_M is not None:
         return float(f.bound_M), True
-    return float(np.max(np.abs(np.asarray(f(p.tags), dtype=float)))), False
+    return float(np.max(np.abs(np.asarray(_rowwise(f, p), dtype=float)))), False

@@ -40,7 +40,8 @@ _KIND_FIELDS = {
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One registered verification target."""
+    """One verification target. Building one whose kind is unknown, or that
+    lacks a field its kind reads, raises :class:`InvalidParameter`."""
 
     name: str
     kind: str  # box | line | surface | green | gauss | stokes
@@ -56,6 +57,20 @@ class Scenario:
     gap_tolerance: float = 1e-2  # verify gate at the default resolution
     tolerances: tuple[tuple[str, float], ...] = ()  # per-variant |error| bounds
 
+    def __post_init__(self):
+        """Refuse a kind outside ``_KIND_FIELDS`` and a missing field the
+        kind reads, with :class:`InvalidParameter`."""
+        if self.kind not in _KIND_FIELDS:
+            raise InvalidParameter(
+                f"scenario {self.name!r}: unknown kind {self.kind!r}; "
+                f"expected one of {tuple(_KIND_FIELDS)}"
+            )
+        for name in ("field", *_KIND_FIELDS[self.kind]):
+            if getattr(self, name) is None:
+                raise InvalidParameter(
+                    f"scenario {self.name!r}: a {self.kind} scenario needs a {name}"
+                )
+
     def boundary_m(self, m_axis: int) -> int:
         """Default boundary resolution derived from the interior one."""
         return self.boundary_factor * m_axis
@@ -68,20 +83,11 @@ _REGISTRY: dict[str, Scenario] = {}
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
-    """Add ``scenario`` to the registry once its kind and fields are known
-    to suit each other; raises :class:`InvalidParameter` otherwise."""
+    """Add ``scenario`` to the registry under its name; a name already taken
+    raises :class:`InvalidParameter`. Its kind and fields were checked when
+    it was built."""
     if scenario.name in _REGISTRY:
         raise InvalidParameter(f"scenario {scenario.name!r} already registered")
-    if scenario.kind not in _KIND_FIELDS:
-        raise InvalidParameter(
-            f"scenario {scenario.name!r}: unknown kind {scenario.kind!r}; "
-            f"expected one of {tuple(_KIND_FIELDS)}"
-        )
-    for name in ("field", *_KIND_FIELDS[scenario.kind]):
-        if getattr(scenario, name) is None:
-            raise InvalidParameter(
-                f"scenario {scenario.name!r}: a {scenario.kind} scenario needs a {name}"
-            )
     _REGISTRY[scenario.name] = scenario
     return scenario
 

@@ -172,6 +172,44 @@ def slab_scan_breakpoints(p, gamma, seed):
     return tuple(out)
 
 
+# --- the per-cell tag array that partitions stored before grid tags stayed per axis
+
+
+def grid_stack_tags(breakpoints, rule: str) -> np.ndarray:
+    """Midpoint or corner tags as one (m, dim) C-order array, built by
+    meshgrid and stack from the per-axis coordinates."""
+    if rule == "midpoint":
+        per_axis = [(b[:-1] + b[1:]) / 2.0 for b in breakpoints]
+    else:
+        per_axis = [b[:-1] for b in breakpoints]
+    grids = np.meshgrid(*per_axis, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def flip_reflected_tags(tags, counts) -> np.ndarray:
+    """The mirrored partition's tags: the tag grid flipped on every axis,
+    then negated."""
+    grid = tags.reshape(tuple(counts) + (len(counts),))
+    flipped = -np.flip(grid, axis=tuple(range(len(counts))))
+    return np.ascontiguousarray(flipped.reshape(tags.shape))
+
+
+def transposed_swap_tags(tags, counts) -> np.ndarray:
+    """The axis-swapped 2D partition's tags: the tag grid transposed, and
+    each tag's two coordinates swapped."""
+    grid = tags.reshape(tuple(counts) + (2,))
+    return np.ascontiguousarray(grid.transpose(1, 0, 2)[..., ::-1].reshape(tags.shape))
+
+
+def grid_scan_extents(tags, counts):
+    """Per axis a, ``(lo, hi)``: the least and greatest a-coordinate over
+    each a-segment's slab of the tag grid, by a min and max over every tag."""
+    dim = len(counts)
+    coords = np.moveaxis(tags.reshape(tuple(counts) + (dim,)), -1, 0)
+    others = [tuple(j for j in range(dim) if j != a) for a in range(dim)]
+    return tuple((c.min(axis=o), c.max(axis=o)) for c, o in zip(coords, others))
+
+
 def naive_total(terms, deleted=()) -> float:
     dropped = set(deleted)
     return math.fsum(t for k, t in enumerate(terms) if k not in dropped)

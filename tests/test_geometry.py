@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,25 +29,43 @@ from riemannlab import (
     VariantSpec,
     apply_perturbation,
     bind_deletion,
+    fields,
     get_scenario,
     make_partition,
     make_uniform_partition,
     perturb,
+    reflect_partition,
     register_scenario,
     schedule_count,
+    swap_axes_partition,
 )
 
+from riemannlab.fields import _rowwise
 from riemannlab.geometry import _escaped_axis, select_indices
 
 from oracles import (
     argsort_top_k,
+    flip_reflected_tags,
+    grid_scan_extents,
+    grid_stack_tags,
     naive_symdiff,
     per_cell_escaped_axis,
     slab_scan_breakpoints,
+    transposed_swap_tags,
     unravel,
 )
 
 UNIT = Box(((0.0, 1.0),))
+
+
+def _assert_per_axis_arrays_only(obj, counts):
+    """Every array the dataclass ``obj`` holds, directly or in a tuple, has
+    at most one entry per breakpoint of the ``counts`` grid."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                assert len(item) <= max(counts) + 1, field.name
 
 
 class TestBox:
@@ -274,11 +293,7 @@ class TestPerturbation:
         finally:
             tracemalloc.stop()
         assert peak < 8 * p.m  # less than one m-length float array
-        for field in dataclasses.fields(pp):
-            value = getattr(pp, field.name)
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, np.ndarray):
-                    assert len(item) <= max(p.counts) + 1, field.name
+        _assert_per_axis_arrays_only(pp, p.counts)
 
     def test_tags_stay_in_intersection(self):
         rng = np.random.default_rng(7)
@@ -460,6 +475,95 @@ class TestTagExtents:
         (lo0, hi0), (lo1, hi1) = p.tag_extents
         assert lo0.tolist() == [0.0, 1.0] and hi0.tolist() == [0.0, 1.0]
         assert lo1.tolist() == [0.5] and hi1.tolist() == [2.0]
+
+
+TAG_SOURCES = ("midpoint", "corner", "random", "explicit")
+
+
+def _tagged_partition(box, counts, source, seed):
+    """A uniform partition with ``source`` tags, and its tags as the (m, dim)
+    array partitions stored before grid tags stayed per axis."""
+    if source == "explicit":
+        tags = make_uniform_partition(box, counts, "random", seed).tags
+        p = make_partition(box, make_uniform_partition(box, counts).breakpoints, tags=tags)
+    else:
+        p = make_uniform_partition(box, counts, source, seed)
+    if source in ("midpoint", "corner"):
+        return p, grid_stack_tags(p.breakpoints, source)
+    return p, p.tags
+
+
+@st.composite
+def slab_cases(draw):
+    """A 1-4 D partition with any of the four tag sources, its old tag array,
+    and a slab size just below, at or just above one axis's trailing block."""
+    dim = draw(st.integers(1, 4))
+    counts = tuple(draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim)))
+    lows = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    box = Box(tuple((lo / 2, lo / 2 + 1.5) for lo in lows))
+    source = draw(st.sampled_from(TAG_SOURCES))
+    p, tags = _tagged_partition(box, counts, source, draw(st.integers(0, 2**16)))
+    block = math.prod(counts[draw(st.integers(0, dim - 1)) + 1 :])
+    max_rows = max(1, block + draw(st.sampled_from((-1, 0, 1))))
+    return p, tags, max_rows
+
+
+def _assert_same_extents(got, want):
+    assert len(got) == len(want)
+    for (lo, hi), (want_lo, want_hi) in zip(got, want):
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+
+class TestGridTags:
+    """Midpoint and corner tags stay per axis; every view of them matches
+    the (m, dim) tag array partitions used to store."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(slab_cases())
+    def test_slab_rows_are_slices_of_the_old_tag_array(self, case):
+        p, tags, max_rows = case
+        bounds, rows = p.tag_slabs(max_rows)
+        assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+        assert bounds[-1][1] == p.m and all(0 < b - a <= max_rows for a, b in bounds)
+        for a, b in bounds:
+            got = rows(a, b)
+            assert got.shape == (b - a, p.dim) and got.tobytes() == tags[a:b].tobytes()
+        assert p.tags.tobytes() == tags.tobytes()
+        with mock.patch.object(fields, "_SLAB_ROWS", max_rows):
+            assert np.asarray(_rowwise(lambda q: q, p)).tobytes() == tags.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(slab_cases())
+    def test_mirror_swap_and_extents_match_the_old_tag_array(self, case):
+        p, tags, _ = case
+        _assert_same_extents(p.tag_extents, grid_scan_extents(tags, p.counts))
+        mirrored = reflect_partition(p)
+        mirror_tags = flip_reflected_tags(tags, p.counts)
+        assert mirrored.tags.tobytes() == mirror_tags.tobytes()
+        _assert_same_extents(mirrored.tag_extents, grid_scan_extents(mirror_tags, p.counts))
+        outputs = [p, mirrored]
+        if p.dim == 2:
+            swapped = swap_axes_partition(p)
+            swap_tags = transposed_swap_tags(tags, p.counts)
+            assert swapped.tags.tobytes() == swap_tags.tobytes()
+            _assert_same_extents(
+                swapped.tag_extents, grid_scan_extents(swap_tags, p.counts[::-1])
+            )
+            outputs.append(swapped)
+        if p.tag_axes is not None:
+            for q in outputs:
+                assert q.tag_axes is not None
+                _assert_per_axis_arrays_only(q, q.counts)
+
+    def test_a_uniform_partition_allocates_no_per_cell_array(self):
+        tracemalloc.start()
+        try:
+            p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the 2^20 tags alone would be 16 MiB
+        _assert_per_axis_arrays_only(p, p.counts)
 
 
 class TestDeletionPlan:

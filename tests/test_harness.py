@@ -72,11 +72,14 @@ for _kind, (_template, _needs) in KIND_NEEDS.items():
 
 @pytest.mark.parametrize("case", sorted(MISFITS))
 def test_a_scenario_that_misfits_its_kind_is_refused_at_registration(case):
+    """The misfit is refused as it is built, so neither registering it nor
+    evaluating it unregistered gets as far as a late AttributeError."""
     template, changes, message = MISFITS[case]
-    sc = dataclasses.replace(get_scenario(template), name="misfit", **changes)
     before = scenario_names()
     with pytest.raises(InvalidParameter, match=message):
-        register_scenario(sc)
+        register_scenario(dataclasses.replace(get_scenario(template), name="misfit", **changes))
+    with pytest.raises(InvalidParameter, match=message):
+        evaluate_scenario(dataclasses.replace(get_scenario(template), name="x", **changes), 4)
     assert scenario_names() == before
 
 

@@ -1,9 +1,10 @@
 """Slab-parallel integrand evaluation gives the bits of one whole-array call.
 
-``fields._rowwise`` splits a batch into fixed slabs of ``_SLAB_ROWS`` rows
-and fills one output from a thread pool. Setting ``_SLAB_ROWS`` to infinity
-makes every evaluation one call, the reference the slabbed results must
-match bit for bit.
+``fields._rowwise`` splits a batch, or a partition's cells, into slabs of at
+most ``_SLAB_ROWS`` rows and fills one output from a thread pool; a
+partition's grid tags are built slab by slab. Setting ``_SLAB_ROWS`` to
+infinity makes every evaluation one call, the reference the slabbed results
+must match bit for bit.
 """
 
 import math
@@ -11,6 +12,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from riemannlab import (
     Box,
     FixedK,
     LargestTerm,
+    Partition,
     RandomPick,
     ScalarField,
     VariantSpec,
     VectorField,
+    evaluate_scenario,
     fields,
     gauss_check,
     green_check,
@@ -31,6 +35,7 @@ from riemannlab import (
     variant_sum,
 )
 from riemannlab.fields import _SLAB_ROWS, _rowwise
+from riemannlab.quadrature import field_bound
 from riemannlab.scenarios import (
     BALL_REGION,
     CIRCLE_2D,
@@ -38,7 +43,11 @@ from riemannlab.scenarios import (
     CUBE_REGION,
     DISK_REGION,
     HEMISPHERE,
+    get_scenario,
+    scenario_names,
 )
+
+from oracles import grid_stack_tags
 
 SIZES = [_SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 3 * _SLAB_ROWS + 5]
 
@@ -79,6 +88,59 @@ def test_a_float_for_a_batch_is_broadcast():
     assert variant_sum(ScalarField(2, lambda q: 2.5), p).value == math.fsum(
         (2.5 * p.measures).tolist()
     )
+
+
+# counts -> the slab sizes of one run of the leading axes: the trailing block
+# of the slab axis lies below, at or above a slab.
+GRID_SLABS = {
+    (4, 7, 300): [3 * 2100, 2100],  # runs of whole 2100-cell blocks along axis 0
+    (3, _SLAB_ROWS): [_SLAB_ROWS],  # one block is one slab
+    (3, 10000): [_SLAB_ROWS, 10000 - _SLAB_ROWS],  # runs along axis 1
+    (2, 5, 9000): [_SLAB_ROWS, 9000 - _SLAB_ROWS],  # runs along axis 2
+}
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "corner"])
+@pytest.mark.parametrize("counts", sorted(GRID_SLABS), ids=str)
+def test_grid_tag_slabs_match_one_whole_array_call(counts, rule):
+    box = Box(tuple((-1.0, 0.5 + a) for a in range(len(counts))))
+    p = make_uniform_partition(box, counts, rule)
+    bounds, _ = p.tag_slabs(_SLAB_ROWS)
+    sizes = GRID_SLABS[counts]
+    assert [b - a for a, b in bounds] == sizes * (p.m // sum(sizes))
+    fn = _scalar if len(counts) == 2 else _vector
+    whole = np.asarray(fn(grid_stack_tags(p.breakpoints, rule)), dtype=float)
+    assert _rowwise(fn, p).tobytes() == whole.tobytes()
+
+
+def test_sums_never_materialise_grid_tags(monkeypatch):
+    stored_tags = Partition.tags.fget
+
+    def tags(p):
+        assert p.tag_axes is None, "a grid partition's tag array was built"
+        return stored_tags(p)
+
+    monkeypatch.setattr(Partition, "tags", property(tags))
+    specs = [VariantSpec(), VariantSpec("combined", FixedK(2), LargestTerm(), 0.5, 3)]
+    for name in scenario_names():
+        for spec in specs:
+            evaluate_scenario(get_scenario(name), 12, spec)
+    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), (3 * _SLAB_ROWS + 5, 2))
+    assert field_bound(ScalarField(2, _scalar), p)[1] is False
+
+
+def test_a_full_sum_holds_three_cell_arrays_at_its_peak():
+    """The integrand values, the cell measures and the terms, plus the slabs
+    in flight; the 2^20 grid tags (16 MiB) are never built."""
+    tracemalloc.start()
+    try:
+        p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 1024)
+        variant_sum(ScalarField(2, _scalar), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab_bytes = 8 * 8 * _SLAB_ROWS  # a slab's tags, its values and temporaries
+    assert peak < 3 * 8 * p.m + 2**20 + _cpus() * slab_bytes
 
 
 class SlabFailure(Exception):
