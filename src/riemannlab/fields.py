@@ -9,11 +9,11 @@ gives the same values as evaluating it whole. Every constructed object is
 immutable and safe to evaluate from many threads.
 
 The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
-integrand with :func:`_rowwise`: in C-order slabs of at most ``_SLAB_ROWS``
-tags, each built where it is evaluated, spread over a pool of one thread
-per available CPU and written into one output array. Row-wise results do
-not depend on where a slab starts, so the values do not depend on the slab
-bounds, the thread count or the schedule.
+integrand at a partition's tags with :func:`_rowwise`: in C-order slabs of
+at most ``_SLAB_ROWS`` tags, each built where it is evaluated, shared by the
+caller and a pool of one thread per further usable CPU, and written into one
+output array. Row-wise results do not depend on where a slab starts, so the
+values do not depend on the slab bounds, the thread count or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied.
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Box, Partition, slab_bounds
+from .geometry import Box, Partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,24 +168,19 @@ def _slab_pool() -> ThreadPoolExecutor | None:
     return _pool
 
 
-def _rowwise(fn: Callable, source):
-    """``fn`` of every row of ``source`` for a row-wise ``fn``, in slabs of rows.
+def _rowwise(fn: Callable, p: Partition):
+    """``fn`` of every tag of the partition ``p``, for a row-wise ``fn``.
 
-    ``source`` is a batch of points or a :class:`Partition`, whose tags each
-    slab builds where it is evaluated (``Partition.tag_slabs``), so no
-    (m, dim) tag array is made. Slabs are the :func:`slab_bounds` of the
-    rows, at most ``_SLAB_ROWS`` each. One slab is one call. Otherwise the
-    caller evaluates the first slab, which fixes the trailing shape of the
-    float output (a 0-d result is broadcast over the rows). Then the caller
-    and the pool threads take the other slabs in order and fill that one
+    Each slab of at most ``_SLAB_ROWS`` tags (``Partition.tag_slabs``) is
+    built where it is evaluated, so no (m, dim) tag array is made. One slab
+    is one call. Otherwise the caller evaluates the first slab, which fixes
+    the trailing shape of the float output (a 0-d result is broadcast over
+    the rows). Then the caller and the pool's threads, one per usable CPU
+    besides the caller, take the other slabs in order and fill that one
     preallocated array. The exception of the lowest failing slab propagates
     as raised.
     """
-    if isinstance(source, Partition):
-        bounds, rows = source.tag_slabs(_SLAB_ROWS)
-    else:
-        bounds = slab_bounds((len(source),), _SLAB_ROWS)
-        rows = lambda start, stop: source[start:stop]
+    bounds, rows = p.tag_slabs(_SLAB_ROWS)
     n = bounds[-1][1]
     if len(bounds) == 1:
         return fn(rows(0, n))

@@ -9,12 +9,13 @@ are one coordinate array per axis, and the tag checks read only
 ``Partition.tag_extents``, each segment's least and greatest tag coordinate.
 No midpoint or corner partition holds a per-cell array: the kernel builds
 the tags of each slab of cells where it evaluates them
-(``Partition.tag_slabs``). A perturbed partition keeps the same
-cells-by-index structure but jitters interior breakpoints, and a deletion
-plan names the cell indices a sum should drop.
+(``Partition.tag_slabs``), with the same function that gives whole tag
+arrays. A perturbed partition keeps the same cells-by-index structure but
+jitters interior breakpoints, and a deletion plan names the cell indices a
+sum should drop.
 
-All constructed values are immutable and deterministic: equal inputs
-(including seeds) give bit-identical state.
+All constructed values are immutable, their arrays read-only, and
+deterministic: equal inputs (including seeds) give bit-identical state.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ class Box:
         return math.prod(hi - lo for lo, hi in self.axes)
 
 
-def _grid_stack(per_axis) -> np.ndarray:
-    """Cartesian product of per-axis value arrays as an (m, n) array, C-order."""
-    grids = np.meshgrid(*per_axis, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
 def _outer_product(per_axis) -> np.ndarray:
     """Per-cell products of per-axis factors, flattened in C-order."""
     out = np.asarray(per_axis[0], dtype=float)
@@ -80,28 +75,39 @@ def _outer_product(per_axis) -> np.ndarray:
     return out.ravel()
 
 
-def _slab_axis(counts, max_rows) -> int:
-    """The first axis whose trailing block of ``prod(counts[j+1:])`` cells
-    has at most ``max_rows`` cells."""
-    return next(j for j in range(len(counts)) if math.prod(counts[j + 1 :]) <= max_rows)
-
-
-def slab_bounds(counts, max_rows) -> list[tuple[int, int]]:
-    """C-order slabs ``(start, stop)`` of at most ``max_rows`` cells of a
-    ``counts`` grid, covering it in order.
-
-    A slab is a run of whole trailing blocks along the :func:`_slab_axis` j,
-    with the axes before j held fixed; all cells are one slab when they fit.
+def _grid_rows(axes, j: int):
+    """``rows(start, stop)``: rows of the C-order Cartesian product of the
+    per-axis value arrays ``axes``, built column by column by broadcasting in
+    a new (stop - start, dim) array. ``start:stop`` must be whole trailing
+    blocks of one run of axis j; at j = 0, ``rows(0, m)`` is the whole grid.
     """
-    j = _slab_axis(counts, max_rows)
+    counts, dim = tuple(len(c) for c in axes), len(axes)
     block = math.prod(counts[j + 1 :])
-    row = counts[j] * block  # the cells of one run of axis j
-    step = row if row <= max_rows else int(max_rows // block) * block
-    return [
-        (start, min(start + step, base + row))
-        for base in range(0, math.prod(counts), row)
-        for start in range(base, base + row, step)
+    run_shape = (1,) * (dim - 1 - j)
+    trailing = [
+        (a, axes[a].reshape((-1,) + (1,) * (dim - 1 - a))) for a in range(j + 1, dim)
     ]
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        run = (stop - start) // block
+        out = np.empty((run,) + counts[j + 1 :] + (dim,))
+        lead, i = divmod(start // block, counts[j])
+        out[..., j] = axes[j][i : i + run].reshape((run,) + run_shape)
+        for a in range(j - 1, -1, -1):  # the axes held fixed
+            lead, k = divmod(lead, counts[a])
+            out[..., a] = axes[a][k]
+        for a, coords in trailing:
+            out[..., a] = coords
+        return out.reshape(stop - start, dim)
+
+    return rows
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself is left as it is."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +126,9 @@ class Partition:
     explicit tags are stored as an (m, dim) array, which ``tag_extents``
     reduces per axis in one cached pass. Either way the tag checks then cost
     O(sum of counts), and sums build tags a slab at a time (``tag_slabs``).
-    ``is_equal`` means every cell has the same measure.
+    ``is_equal`` means every cell has the same measure. Every array a
+    partition holds is a read-only view, so no write can move a tag out of
+    its cell after the checks.
     """
 
     parent: Box
@@ -128,6 +136,13 @@ class Partition:
     axis_widths: tuple[np.ndarray, ...]
     tag_source: np.ndarray | tuple[np.ndarray, ...]
     is_equal: bool
+
+    def __post_init__(self):
+        tags = self.tag_source
+        tags = tuple(map(_read_only, tags)) if isinstance(tags, tuple) else _read_only(tags)
+        object.__setattr__(self, "breakpoints", tuple(map(_read_only, self.breakpoints)))
+        object.__setattr__(self, "axis_widths", tuple(map(_read_only, self.axis_widths)))
+        object.__setattr__(self, "tag_source", tags)
 
     @property
     def dim(self) -> int:
@@ -163,7 +178,7 @@ class Partition:
         grid tags are materialised on each access, at m * dim * 8 bytes,
         and sums never ask for them."""
         axes = self.tag_axes
-        return self.tag_source if axes is None else _grid_stack(axes)
+        return self.tag_source if axes is None else _grid_rows(axes, 0)(0, self.m)
 
     @property
     def tag_grid(self) -> np.ndarray:
@@ -172,36 +187,26 @@ class Partition:
         return self.tags.reshape(self.counts + (self.dim,))
 
     def tag_slabs(self, max_rows):
-        """``(bounds, rows)``: the :func:`slab_bounds` of the cells, and a
-        function ``rows(start, stop)`` that gives ``tags[start:stop]`` for
-        each of them. Stored tags are sliced (a view); grid tags are built
-        column by column by broadcasting, in a new (stop - start, dim) array.
-        """
-        bounds = slab_bounds(self.counts, max_rows)
+        """``(bounds, rows)``: C-order slabs ``(start, stop)`` of at most
+        ``max_rows`` cells, covering them in order, and ``rows(start, stop)``,
+        which gives ``tags[start:stop]``. A slab is a run of whole trailing
+        blocks along the first axis j whose block ``prod(counts[j+1:])`` fits,
+        the axes before j held fixed. Stored tags are sliced (a view); grid
+        tags are built by :func:`_grid_rows`."""
+        counts = self.counts
+        j = next(j for j in range(self.dim) if math.prod(counts[j + 1 :]) <= max_rows)
+        block = math.prod(counts[j + 1 :])
+        row = counts[j] * block  # the cells of one run of axis j
+        step = row if row <= max_rows else int(max_rows // block) * block
+        bounds = [
+            (start, min(start + step, base + row))
+            for base in range(0, self.m, row)
+            for start in range(base, base + row, step)
+        ]
         axes = self.tag_axes
         if axes is None:
             return bounds, lambda start, stop: self.tag_source[start:stop]
-        counts, dim = self.counts, self.dim
-        j = _slab_axis(counts, max_rows)
-        block = math.prod(counts[j + 1 :])
-        run_shape = (1,) * (dim - 1 - j)
-        trailing = [
-            (a, axes[a].reshape((-1,) + (1,) * (dim - 1 - a))) for a in range(j + 1, dim)
-        ]
-
-        def rows(start: int, stop: int) -> np.ndarray:
-            run = (stop - start) // block
-            out = np.empty((run,) + counts[j + 1 :] + (dim,))
-            lead, i = divmod(start // block, counts[j])
-            out[..., j] = axes[j][i : i + run].reshape((run,) + run_shape)
-            for a in range(j - 1, -1, -1):  # the axes held fixed
-                lead, k = divmod(lead, counts[a])
-                out[..., a] = axes[a][k]
-            for a, coords in trailing:
-                out[..., a] = coords
-            return out.reshape(stop - start, dim)
-
-        return bounds, rows
+        return bounds, _grid_rows(axes, j)
 
     @cached_property
     def tag_extents(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -255,8 +260,9 @@ def _make_tags(breakpoints, tag_rule: str, seed: int):
     if tag_rule == "corner":
         return tuple(b[:-1] for b in breakpoints)
     if tag_rule == "random":
-        lows = _grid_stack([b[:-1] for b in breakpoints])
-        widths = _grid_stack([np.diff(b) for b in breakpoints])
+        m = math.prod(len(b) - 1 for b in breakpoints)
+        lows = _grid_rows([b[:-1] for b in breakpoints], 0)(0, m)
+        widths = _grid_rows([np.diff(b) for b in breakpoints], 0)(0, m)
         rng = np.random.default_rng(seed)
         return lows + rng.random(lows.shape) * widths
     raise InvalidParameter(f"unknown tag rule {tag_rule!r}; expected one of {TAG_RULES}")
@@ -331,6 +337,10 @@ class PerturbedPartition:
     breakpoints: tuple[np.ndarray, ...]
     axis_widths: tuple[np.ndarray, ...]
     symdiff_total: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "breakpoints", tuple(map(_read_only, self.breakpoints)))
+        object.__setattr__(self, "axis_widths", tuple(map(_read_only, self.axis_widths)))
 
     @property
     def measures(self) -> np.ndarray:

@@ -10,7 +10,7 @@ rounding level before fitting so the slope never chases noise.
 interior one, and one per boundary piece (the region's boundary, or Stokes'
 path) on :func:`~riemannlab.curve_surface.parameter_box` of the piece.
 
-Determinism: the row at index i uses seed ``base_seed + i`` for jitter,
+Determinism: row i of a sweep uses seed ``seed + i`` for jitter,
 random tags, and random index selection; theorem boundary sides shift that
 by a large constant so the two sides never share randomness, and boundary
 piece j adds j. Re-running a sweep with equal inputs produces a
@@ -58,7 +58,6 @@ class ConvergenceReport:
     variant: str
     rows: tuple[SweepRow, ...]
     fitted_rate: float | None
-    base_seed: int
 
 
 def evaluate_scenario(
@@ -185,7 +184,6 @@ def run_sweep(
         variant=_variant_label(sc, spec, boundary_spec),
         rows=tuple(rows),
         fitted_rate=fit_rate(rows, sc.exact),
-        base_seed=seed,
     )
 
 
@@ -198,7 +196,6 @@ def single_report(sc: Scenario, result, spec: VariantSpec) -> ConvergenceReport:
         variant=_variant_label(sc, spec, None),
         rows=(row,),
         fitted_rate=None,
-        base_seed=spec.seed,
     )
 
 

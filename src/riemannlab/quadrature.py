@@ -10,8 +10,9 @@ region, line, surface and theorem-boundary sums only build row-wise
 integrands and hand them to it, with the partitions they live on. It is the
 one place integrands are evaluated, at their tags in row slabs; it also
 resolves deletion once over one index space, weights by base or perturbed
-cell measures, and reduces to the correctly rounded, order-independent sum,
-so equal inputs give bit-identical estimates.
+cell measures, overwrites the deleted terms with -0.0, which changes no bit
+of a sum, and reduces to the correctly rounded, order-independent sum, so
+equal inputs give bit-identical estimates.
 
 Each integral has one entry point (:func:`variant_sum`, :func:`region_sum`
 here; ``line_sum`` and ``surface_sum`` in :mod:`riemannlab.curve_surface`).
@@ -131,15 +132,14 @@ FULL = VariantSpec()
 # --- the variant kernel --------------------------------------------------------
 
 
-def _keep_mask(plan: DeletionPlan, m: int) -> np.ndarray:
+def _deleted_indices(plan: DeletionPlan, m: int) -> np.ndarray:
+    """A bound plan's deleted indices, checked against ``m`` terms."""
     if plan.resolved is None:
         raise UnboundPlan("deletion plan must be bound to the partition first")
     idx = np.asarray(plan.resolved, dtype=int)
     if len(idx) == 0 or len(idx) >= m or idx.min() < 0 or idx.max() >= m:
         raise UnboundPlan(f"resolved index set invalid for m={m}")
-    keep = np.ones(m, dtype=bool)
-    keep[idx] = False
-    return keep
+    return idx
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -209,14 +209,18 @@ def pieces_sum(
     # Integrand values are freed here, so they do not add to the peak memory
     # of the reduction.
     del dots
-    keep = None if plan is None else _keep_mask(plan, m)
-    if degenerate and np.any(zero_norm if keep is None else zero_norm[keep]):
+    if plan is not None:
+        idx = _deleted_indices(plan, m)
+        terms[idx] = -0.0  # x + (-0.0) == x for every float x, ±0 included
+        if degenerate:
+            zero_norm[idx] = False
+    if degenerate and np.any(zero_norm):
         raise DegenerateNormal("surface normal vanishes at a used tag")
-    value, resid = neumaier_sum(terms if keep is None else terms[keep])
-    deleted = 0 if keep is None else int(m - keep.sum())
+    value, resid = neumaier_sum(terms)
+    deleted = 0 if plan is None else len(set(plan.resolved))
     symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)
     # VARIANTS is ordered full, deleted, perturbed, combined.
-    variant = VARIANTS[(keep is not None) + 2 * (pps is not None)]
+    variant = VARIANTS[(plan is not None) + 2 * (pps is not None)]
     mesh = max(p.mesh for p in partitions)
     return SumEstimate(value, m, mesh, deleted, symdiff, variant, resid)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from riemannlab import Box, ParametricSurface, Path, ScalarField
 from riemannlab.fields import _fd_partial
+from riemannlab.summation import neumaier_sum
 
 
 def unravel(k: int, counts) -> list[int]:
@@ -175,15 +176,27 @@ def slab_scan_breakpoints(p, gamma, seed):
 # --- the per-cell tag array that partitions stored before grid tags stayed per axis
 
 
+def _meshgrid_stack(per_axis) -> np.ndarray:
+    """The Cartesian product of per-axis value arrays as one (m, dim) C-order
+    array, by meshgrid and stack."""
+    grids = np.meshgrid(*per_axis, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def grid_stack_tags(breakpoints, rule: str) -> np.ndarray:
     """Midpoint or corner tags as one (m, dim) C-order array, built by
     meshgrid and stack from the per-axis coordinates."""
     if rule == "midpoint":
-        per_axis = [(b[:-1] + b[1:]) / 2.0 for b in breakpoints]
-    else:
-        per_axis = [b[:-1] for b in breakpoints]
-    grids = np.meshgrid(*per_axis, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+        return _meshgrid_stack([(b[:-1] + b[1:]) / 2.0 for b in breakpoints])
+    return _meshgrid_stack([b[:-1] for b in breakpoints])
+
+
+def meshgrid_random_tags(breakpoints, seed: int) -> np.ndarray:
+    """Random tags: each cell's low corner plus a uniform draw times its
+    widths, the corners and widths built by meshgrid and stack."""
+    lows = _meshgrid_stack([b[:-1] for b in breakpoints])
+    widths = _meshgrid_stack([np.diff(b) for b in breakpoints])
+    return lows + np.random.default_rng(seed).random(lows.shape) * widths
 
 
 def flip_reflected_tags(tags, counts) -> np.ndarray:
@@ -208,6 +221,16 @@ def grid_scan_extents(tags, counts):
     coords = np.moveaxis(tags.reshape(tuple(counts) + (dim,)), -1, 0)
     others = [tuple(j for j in range(dim) if j != a) for a in range(dim)]
     return tuple((c.min(axis=o), c.max(axis=o)) for c, o in zip(coords, others))
+
+
+def mask_and_copy_sum(terms, deleted) -> tuple[float, float, int]:
+    """``(value, residual, deleted_count)`` of a deleted sum the way the
+    kernel used to take it: a keep mask drops the ``deleted`` indices, and
+    the kept terms are copied out and reduced."""
+    keep = np.ones(len(terms), dtype=bool)
+    keep[np.asarray(deleted, dtype=int)] = False
+    value, residual = neumaier_sum(terms[keep])
+    return value, residual, int(len(terms) - keep.sum())
 
 
 def naive_total(terms, deleted=()) -> float:

@@ -24,6 +24,7 @@ from riemannlab import (
     Prefix,
     RandomPick,
     RiemannLabError,
+    ScalarField,
     SumEstimate,
     TagEscape,
     VariantSpec,
@@ -38,6 +39,7 @@ from riemannlab import (
     register_scenario,
     schedule_count,
     swap_axes_partition,
+    variant_sum,
 )
 
 from riemannlab.fields import _rowwise
@@ -48,6 +50,7 @@ from oracles import (
     flip_reflected_tags,
     grid_scan_extents,
     grid_stack_tags,
+    meshgrid_random_tags,
     naive_symdiff,
     per_cell_escaped_axis,
     slab_scan_breakpoints,
@@ -58,14 +61,21 @@ from oracles import (
 UNIT = Box(((0.0, 1.0),))
 
 
-def _assert_per_axis_arrays_only(obj, counts):
-    """Every array the dataclass ``obj`` holds, directly or in a tuple, has
-    at most one entry per breakpoint of the ``counts`` grid."""
+def _held_arrays(obj):
+    """``(field name, array)`` for every array the dataclass ``obj`` holds,
+    directly or in a tuple."""
     for field in dataclasses.fields(obj):
         value = getattr(obj, field.name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, np.ndarray):
-                assert len(item) <= max(counts) + 1, field.name
+                yield field.name, item
+
+
+def _assert_per_axis_arrays_only(obj, counts):
+    """Every array the dataclass ``obj`` holds, directly or in a tuple, has
+    at most one entry per breakpoint of the ``counts`` grid."""
+    for name, item in _held_arrays(obj):
+        assert len(item) <= max(counts) + 1, name
 
 
 class TestBox:
@@ -490,6 +500,8 @@ def _tagged_partition(box, counts, source, seed):
         p = make_uniform_partition(box, counts, source, seed)
     if source in ("midpoint", "corner"):
         return p, grid_stack_tags(p.breakpoints, source)
+    if source == "random":
+        return p, meshgrid_random_tags(p.breakpoints, seed)
     return p, p.tags
 
 
@@ -555,6 +567,21 @@ class TestGridTags:
                 assert q.tag_axes is not None
                 _assert_per_axis_arrays_only(q, q.counts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(1, 8), min_size=1, max_size=6), min_size=dim, max_size=dim
+            )
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_random_tags_match_the_meshgrid_expression(self, steps, seed):
+        breaks = [np.cumsum([0] + s) / 3 for s in steps]  # unequal segments
+        box = Box(tuple((0.0, float(b[-1])) for b in breaks))
+        p = make_partition(box, breaks, "random", seed)
+        assert p.tags.tobytes() == meshgrid_random_tags(p.breakpoints, seed).tobytes()
+
     def test_a_uniform_partition_allocates_no_per_cell_array(self):
         tracemalloc.start()
         try:
@@ -564,6 +591,37 @@ class TestGridTags:
             tracemalloc.stop()
         assert peak < 2**20  # the 2^20 tags alone would be 16 MiB
         _assert_per_axis_arrays_only(p, p.counts)
+
+
+class TestReadOnly:
+    """A partition and a perturbation hold read-only arrays, so no write can
+    move a tag out of its cell once the checks have passed."""
+
+    @pytest.mark.parametrize("source", TAG_SOURCES)
+    def test_every_held_array_refuses_writes(self, source):
+        p, _ = _tagged_partition(Box(((0.0, 1.0), (-1.0, 2.0))), (3, 4), source, 5)
+        pp = perturb(p, 0.5, seed=2)
+        held = [*_held_arrays(p), *_held_arrays(pp)]
+        assert {name for name, _ in held} >= {"breakpoints", "axis_widths", "tag_source"}
+        if p.tag_axes is None:
+            held.append(("tags", p.tags))
+        for name, a in held:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 99.0
+
+    def test_a_grid_tag_cannot_leave_its_cell(self):
+        p = make_uniform_partition(UNIT, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            p.tag_axes[0][0] = 99.0
+        assert variant_sum(ScalarField(1, lambda q: q[..., 0]), p).value == 0.5
+
+    def test_inputs_stay_writeable(self):
+        breaks = [np.array([0.0, 0.5, 1.0])]
+        tags = np.array([[0.25], [0.75]])
+        make_partition(UNIT, breaks, tags=tags)
+        Partition(UNIT, tuple(breaks), (np.diff(breaks[0]),), tags, True)
+        breaks[0][1] = 0.25
+        tags[0, 0] = 0.0
 
 
 class TestDeletionPlan:

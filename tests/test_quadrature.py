@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    mask_and_copy_sum,
     naive_box_terms,
     naive_magnitude,
     naive_total,
@@ -90,6 +93,56 @@ class TestDeletedSum:
         p = make_uniform_partition(UNIT, 4)
         with pytest.raises(UnboundPlan):
             variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(1), Prefix()))
+
+
+@st.composite
+def explicit_plans(draw):
+    """A 1-3 D random-tag partition with up to a few thousand cells, a
+    polynomial field on it, and a bound plan whose indices may come in any
+    order and repeat (fewer entries than cells, as a plan must have)."""
+    dim = draw(st.integers(1, 3))
+    top = {1: 3000, 2: 60, 3: 14}[dim]
+    counts = tuple(draw(st.lists(st.integers(1, top), min_size=dim, max_size=dim)))
+    m = math.prod(counts)
+    if m < 2:
+        counts, m = (2,) + counts[1:], 2 * m
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    axes = random_box(rng, dim)
+    p = make_uniform_partition(Box(tuple(axes)), counts, "random", seed)
+    fn, _ = random_poly_scalar(rng, dim, axes)
+    size = draw(st.integers(1, min(m - 1, 64)))
+    picks = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
+    return ScalarField(dim, fn), p, DeletionPlan(FixedK(size), Prefix(), tuple(picks))
+
+
+class TestDeletionByIndex:
+    """Deleted terms are overwritten by index; every bit of the estimate is
+    that of the kept terms copied out by a keep mask."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_plans(), st.floats(0.0, 0.9) | st.none())
+    def test_explicit_plans_match_mask_and_copy(self, case, gamma):
+        f, p, plan = case
+        pp = None if gamma is None else perturb(p, gamma, seed=len(plan.resolved))
+        est = variant_sum(f, p, plan=plan, perturbation=pp)
+        terms = np.asarray(f(p.tags), dtype=float) * (p if pp is None else pp).measures
+        value, residual, deleted = mask_and_copy_sum(terms, plan.resolved)
+        assert est.value.hex() == value.hex()
+        assert est.compensation_residual.hex() == residual.hex()
+        assert est.deleted_count == deleted == len(set(plan.resolved))
+        assert est.variant == ("deleted" if pp is None else "combined")
+
+    def test_repeated_unsorted_indices_delete_each_cell_once(self):
+        p = make_uniform_partition(UNIT, 4)
+        est = variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(2), Prefix(), (3, 1, 3)))
+        assert (est.value, est.deleted_count, est.variant) == (0.5, 2, "deleted")
+
+    @pytest.mark.parametrize("resolved", [(), (0, 1, 2, 3), (-1,), (4,), (0, 0, 1, 2)])
+    def test_invalid_index_sets_are_unbound(self, resolved):
+        p = make_uniform_partition(UNIT, 4)
+        with pytest.raises(UnboundPlan, match="invalid for m=4"):
+            variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(1), Prefix(), resolved))
 
 
 class TestPerturbedSum:

@@ -1,10 +1,10 @@
 """Slab-parallel integrand evaluation gives the bits of one whole-array call.
 
-``fields._rowwise`` splits a batch, or a partition's cells, into slabs of at
-most ``_SLAB_ROWS`` rows and fills one output from a thread pool; a
-partition's grid tags are built slab by slab. Setting ``_SLAB_ROWS`` to
-infinity makes every evaluation one call, the reference the slabbed results
-must match bit for bit.
+``fields._rowwise`` splits a partition's cells into slabs of at most
+``_SLAB_ROWS`` tags and fills one output from a thread pool; a partition's
+grid tags are built slab by slab. The reference is one call on the whole
+tag array, ``p.tags``; setting ``_SLAB_ROWS`` to infinity makes every
+evaluation one call, which the slabbed results must match bit for bit.
 """
 
 import math
@@ -22,6 +22,7 @@ from riemannlab import (
     FixedK,
     LargestTerm,
     Partition,
+    Prefix,
     RandomPick,
     ScalarField,
     VariantSpec,
@@ -61,10 +62,16 @@ def _vector(p):
     return np.stack([np.sin(y) + x * np.cos(z), np.exp(0.5 * z) * y, np.sin(x * y)], axis=-1)
 
 
+def _random_tags(n, dim, seed=0, lo=-2.0, hi=2.0):
+    """A partition of n cells in a row along axis 0, with random tags."""
+    counts = (n,) + (1,) * (dim - 1)
+    return make_uniform_partition(Box(((lo, hi),) * dim), counts, "random", seed)
+
+
 CASES = {
     "scalar": (_scalar, 2),
     "vector": (_vector, 3),
-    "path-parameter": (CIRCLE_2D.pos, None),  # 1-D input, (n, 2) output
+    "path-parameter": (lambda t: CIRCLE_2D.pos(t[..., 0]), 1),  # (n, 2) output
 }
 
 
@@ -72,18 +79,17 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_slabs_match_one_whole_array_call(case, n):
     fn, dim = CASES[case]
-    rng = np.random.default_rng(n)
-    points = rng.uniform(-2.0, 2.0, (n,) if dim is None else (n, dim))
-    whole = np.asarray(fn(points), dtype=float)
-    slabbed = _rowwise(fn, points)
+    p = _random_tags(n, dim, seed=n)
+    whole = np.asarray(fn(p.tags), dtype=float)
+    slabbed = _rowwise(fn, p)
     assert slabbed.shape == whole.shape
     assert slabbed.tobytes() == whole.tobytes()
 
 
-def test_a_float_for_a_batch_is_broadcast():
-    points = np.zeros((3 * _SLAB_ROWS + 5, 2))
-    out = _rowwise(lambda p: 2.5, points)
-    assert out.shape == (len(points),) and np.all(out == 2.5)
+def test_a_float_for_a_partition_is_broadcast():
+    p = _random_tags(3 * _SLAB_ROWS + 5, 2)
+    out = _rowwise(lambda q: 2.5, p)
+    assert out.shape == (p.m,) and np.all(out == 2.5)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 100)  # 10^4 cells
     assert variant_sum(ScalarField(2, lambda q: 2.5), p).value == math.fsum(
         (2.5 * p.measures).tolist()
@@ -143,22 +149,48 @@ def test_a_full_sum_holds_three_cell_arrays_at_its_peak():
     assert peak < 3 * 8 * p.m + 2**20 + _cpus() * slab_bytes
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        VariantSpec("deleted", FixedK(8), RandomPick(3)),
+        VariantSpec("combined", FixedK(8), Prefix(), 0.5, 3),
+    ],
+    ids=["deleted-random", "combined-prefix"],
+)
+def test_a_deleted_sum_holds_no_more_than_a_full_sum(spec):
+    """Deleted terms are overwritten in place: no keep mask and no copy of
+    the kept terms. The sum runs once untraced first, so that one-time
+    imports (``numpy.random``) do not count."""
+    f = ScalarField(2, _scalar)
+    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 1024)
+    variant_sum(f, p, spec)
+    tracemalloc.start()
+    try:
+        variant_sum(f, p, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab_bytes = 8 * 8 * _SLAB_ROWS
+    assert peak < 3 * 8 * p.m + 2**20 + _cpus() * slab_bytes
+
+
 class SlabFailure(Exception):
     pass
 
 
 @pytest.mark.parametrize("first_bad", [0, 2])
 def test_lowest_failing_slab_propagates_as_raised(first_bad):
-    points = np.arange(5 * _SLAB_ROWS, dtype=float)
+    # Cell k of a unit-width row has its random tag in [k, k + 1).
+    p = _random_tags(5 * _SLAB_ROWS, 1, lo=0.0, hi=5.0 * _SLAB_ROWS)
 
-    def fn(p):
-        slab = int(p[0]) // _SLAB_ROWS
+    def fn(q):
+        slab = int(q[0, 0]) // _SLAB_ROWS
         if slab >= first_bad:
             raise SlabFailure(f"slab {slab}")
-        return p
+        return q[:, 0]
 
     with pytest.raises(SlabFailure, match=f"^slab {first_bad}$"):
-        _rowwise(fn, points)
+        _rowwise(fn, p)
 
 
 def _cpus() -> int:
@@ -178,7 +210,7 @@ def test_concurrent_callers_share_one_lazily_made_pool(monkeypatch):
 
     monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
     monkeypatch.setattr(fields, "_pool", None)
-    inputs = [np.random.default_rng(i).uniform(-2.0, 2.0, (3 * _SLAB_ROWS + i, 2))
+    inputs = [_random_tags(3 * _SLAB_ROWS + i, 2, seed=i)
               for i in range(2 * _cpus() + 2)]  # more callers than cores
     results = [None] * len(inputs)
 
@@ -201,8 +233,8 @@ def test_concurrent_callers_share_one_lazily_made_pool(monkeypatch):
             pool.shutdown()
     assert not any(t.is_alive() for t in callers)
     assert len(made) == (1 if _cpus() > 1 else 0)
-    for x, got in zip(inputs, results):
-        assert got.tobytes() == _scalar(x).tobytes()
+    for p, got in zip(inputs, results):
+        assert got.tobytes() == _scalar(p.tags).tobytes()
 
 
 def test_a_handle_that_sums_in_a_pool_thread_returns():

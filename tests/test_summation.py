@@ -174,6 +174,41 @@ class TestExtraction:
         assert peak < 2.5 * x.nbytes
 
 
+SPECIAL_TERMS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -1.0,
+]
+
+
+class TestNegativeZeroFill:
+    """Overwriting terms with -0.0 reduces to the bits of dropping them: for
+    every float x, x + (-0.0) == x, and the exact sum only gains zeros."""
+
+    @given(
+        st.sampled_from([2, 8, _FSUM_FLOOR, _FSUM_FLOOR + 2, 2**16 + 4]),
+        st.lists(
+            st.sampled_from(SPECIAL_TERMS) | st.floats(allow_nan=True, allow_infinity=True),
+            min_size=1,
+            max_size=6,
+        ),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_filled_terms_sum_like_the_kept_terms(self, n, pool, special_share, seed):
+        rng = np.random.default_rng(seed)
+        drawn = rng.standard_normal(n) * np.exp2(rng.uniform(-1070, 1020, n))
+        x = np.where(rng.random(n) < special_share, rng.choice(np.array(pool), n), drawn)
+        deleted = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        keep = np.ones(n, dtype=bool)
+        keep[deleted] = False
+        filled = x.copy()
+        filled[deleted] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = neumaier_sum(filled), neumaier_sum(x[keep])
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 class TestAscendingSum:
     """The residual's plain sum is taken slab by slab; its bits must be those
     of ``np.cumsum(x)[-1]`` over the whole array."""
