@@ -10,10 +10,11 @@ immutable and safe to evaluate from many threads.
 
 The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
 integrand at a partition's tags with :func:`_rowwise`: in C-order slabs of
-at most ``_SLAB_ROWS`` tags, each built where it is evaluated, shared by the
-caller and a pool of one thread per further usable CPU, and written into one
-output array. Row-wise results do not depend on where a slab starts, so the
-values do not depend on the slab bounds, the thread count or the schedule.
+at most ``_SLAB_ROWS`` tags, all of one length but the last, each built
+where it is evaluated, shared by the caller and a pool of one thread per
+further usable CPU, and written into one output array. Row-wise results do
+not depend on where a slab starts, so the values do not depend on the slab
+bounds, the thread count or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied.
@@ -172,21 +173,20 @@ def _rowwise(fn: Callable, p: Partition):
     """``fn`` of every tag of the partition ``p``, for a row-wise ``fn``.
 
     Each slab of at most ``_SLAB_ROWS`` tags (``Partition.tag_slabs``) is
-    built where it is evaluated, so no (m, dim) tag array is made. One slab
-    is one call. Otherwise the caller evaluates the first slab, which fixes
-    the trailing shape of the float output (a 0-d result is broadcast over
-    the rows). Then the caller and the pool's threads, one per usable CPU
-    besides the caller, take the other slabs in order and fill that one
-    preallocated array. The exception of the lowest failing slab propagates
-    as raised.
+    built where it is evaluated, so no (m, dim) tag array is made. The
+    caller evaluates the first slab as a float array, which is the result
+    when it is the only slab. Otherwise it fixes the trailing shape of the
+    float output (a 0-d result is broadcast over the rows), and the caller
+    and the pool's threads, one per usable CPU besides the caller, take the
+    other slabs in order and fill that one preallocated array. The
+    exception of the lowest failing slab propagates as raised.
     """
     bounds, rows = p.tag_slabs(_SLAB_ROWS)
-    n = bounds[-1][1]
-    if len(bounds) == 1:
-        return fn(rows(0, n))
     first_stop = bounds[0][1]
     first = np.asarray(fn(rows(0, first_stop)), dtype=float)
-    out = np.empty((n,) + first.shape[1:])
+    if len(bounds) == 1:
+        return first
+    out = np.empty((p.m,) + first.shape[1:])
     out[:first_stop] = first
     del first
     slabs = iter(bounds[1:])

@@ -8,11 +8,11 @@ per-axis: a cell's bounds are its axis segments, midpoint and corner tags
 are one coordinate array per axis, and the tag checks read only
 ``Partition.tag_extents``, each segment's least and greatest tag coordinate.
 No midpoint or corner partition holds a per-cell array: the kernel builds
-the tags of each slab of cells where it evaluates them
-(``Partition.tag_slabs``), with the same function that gives whole tag
-arrays. A perturbed partition keeps the same cells-by-index structure but
-jitters interior breakpoints, and a deletion plan names the cell indices a
-sum should drop.
+the tags of each slab where it evaluates them, by the one rule that gives
+whole tag arrays. ``Partition.tag_slabs`` cuts every grid into C-order runs
+of one length, whole trailing blocks, the last run shorter. A perturbed
+partition keeps the same cells-by-index structure but jitters interior
+breakpoints, and a deletion plan names the cell indices a sum should drop.
 
 All constructed values are immutable, their arrays read-only, and
 deterministic: equal inputs (including seeds) give bit-identical state.
@@ -78,24 +78,23 @@ def _outer_product(per_axis) -> np.ndarray:
 def _grid_rows(axes, j: int):
     """``rows(start, stop)``: rows of the C-order Cartesian product of the
     per-axis value arrays ``axes``, built column by column by broadcasting in
-    a new (stop - start, dim) array. ``start:stop`` must be whole trailing
-    blocks of one run of axis j; at j = 0, ``rows(0, m)`` is the whole grid.
+    a new (stop - start, dim) array. ``start:stop`` must be whole blocks of
+    ``prod(counts[j+1:])`` rows; at j = 0, ``rows(0, m)`` is the whole grid.
     """
     counts, dim = tuple(len(c) for c in axes), len(axes)
     block = math.prod(counts[j + 1 :])
-    run_shape = (1,) * (dim - 1 - j)
+    run_shape = (-1,) + (1,) * (dim - 1 - j)
     trailing = [
         (a, axes[a].reshape((-1,) + (1,) * (dim - 1 - a))) for a in range(j + 1, dim)
     ]
 
     def rows(start: int, stop: int) -> np.ndarray:
-        run = (stop - start) // block
-        out = np.empty((run,) + counts[j + 1 :] + (dim,))
-        lead, i = divmod(start // block, counts[j])
-        out[..., j] = axes[j][i : i + run].reshape((run,) + run_shape)
-        for a in range(j - 1, -1, -1):  # the axes held fixed
-            lead, k = divmod(lead, counts[a])
-            out[..., a] = axes[a][k]
+        lead = np.arange(start // block, stop // block)  # the blocks' indices
+        out = np.empty((len(lead),) + counts[j + 1 :] + (dim,))
+        for a in range(j, 0, -1):  # axes j down to 1 take their digits
+            lead, digit = np.divmod(lead, counts[a])
+            out[..., a] = axes[a][digit].reshape(run_shape)
+        out[..., 0] = axes[0][lead].reshape(run_shape)  # the quotient left is axis 0's
         for a, coords in trailing:
             out[..., a] = coords
         return out.reshape(stop - start, dim)
@@ -187,22 +186,17 @@ class Partition:
         return self.tags.reshape(self.counts + (self.dim,))
 
     def tag_slabs(self, max_rows):
-        """``(bounds, rows)``: C-order slabs ``(start, stop)`` of at most
-        ``max_rows`` cells, covering them in order, and ``rows(start, stop)``,
-        which gives ``tags[start:stop]``. A slab is a run of whole trailing
-        blocks along the first axis j whose block ``prod(counts[j+1:])`` fits,
-        the axes before j held fixed. Stored tags are sliced (a view); grid
-        tags are built by :func:`_grid_rows`."""
-        counts = self.counts
+        """``(bounds, rows)``: C-order slabs ``(start, stop)`` covering the cells
+        in order, each but the last (which may be shorter) a run of
+        ``min(max_rows, m) // block`` whole blocks of ``prod(counts[j+1:])``
+        cells, j the first axis whose block fits; a run may cross the axes
+        before j. ``rows(start, stop)`` gives ``tags[start:stop]``: stored tags
+        are sliced (a view), grid tags are built by :func:`_grid_rows`."""
+        counts, m = self.counts, self.m
         j = next(j for j in range(self.dim) if math.prod(counts[j + 1 :]) <= max_rows)
         block = math.prod(counts[j + 1 :])
-        row = counts[j] * block  # the cells of one run of axis j
-        step = row if row <= max_rows else int(max_rows // block) * block
-        bounds = [
-            (start, min(start + step, base + row))
-            for base in range(0, self.m, row)
-            for start in range(base, base + row, step)
-        ]
+        step = block * int(min(max_rows, m) // block)
+        bounds = [(start, min(start + step, m)) for start in range(0, m, step)]
         axes = self.tag_axes
         if axes is None:
             return bounds, lambda start, stop: self.tag_source[start:stop]
@@ -260,11 +254,12 @@ def _make_tags(breakpoints, tag_rule: str, seed: int):
     if tag_rule == "corner":
         return tuple(b[:-1] for b in breakpoints)
     if tag_rule == "random":
+        # lows + draws * widths in place: IEEE addition commutes, so same bits
         m = math.prod(len(b) - 1 for b in breakpoints)
-        lows = _grid_rows([b[:-1] for b in breakpoints], 0)(0, m)
-        widths = _grid_rows([np.diff(b) for b in breakpoints], 0)(0, m)
-        rng = np.random.default_rng(seed)
-        return lows + rng.random(lows.shape) * widths
+        tags = np.random.default_rng(seed).random((m, len(breakpoints)))
+        tags *= _grid_rows([np.diff(b) for b in breakpoints], 0)(0, m)
+        tags += _grid_rows([b[:-1] for b in breakpoints], 0)(0, m)
+        return tags
     raise InvalidParameter(f"unknown tag rule {tag_rule!r}; expected one of {TAG_RULES}")
 
 

@@ -192,13 +192,16 @@ def pieces_sum(
     if degenerate:  # columns: the integrand and the surface normal's norm
         zero_norm = _joined([d[:, 1] == 0.0 for d in dots])
         dots = [d[:, 0] for d in dots]
+    reweighted = perturbation is not None or spec.perturbs
     terms = None  # LargestTerm's base terms, when no perturbation reweights them
     if plan is None and spec.deletes:
         if isinstance(spec.selector, LargestTerm):
             terms = _joined([d * p.measures for d, p in zip(dots, partitions)])
+            if not reweighted:
+                dots = None  # the terms are final: free the values before ranking
         indices = _selected(spec, terms, partitions, m)
         plan = DeletionPlan(spec.schedule, spec.selector, indices)
-        if perturbation is not None or spec.perturbs:
+        if reweighted:
             terms = None  # freed before the perturbed terms are built
     pps = None if perturbation is None else [perturbation]
     if pps is None and spec.perturbs:

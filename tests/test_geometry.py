@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemannlab import (
@@ -532,11 +532,14 @@ class TestGridTags:
 
     @settings(max_examples=300, deadline=None)
     @given(slab_cases())
+    @example((*_tagged_partition(Box(((0.0, 1.5),) * 2), (2, 3), "midpoint", 0), 2))
     def test_slab_rows_are_slices_of_the_old_tag_array(self, case):
         p, tags, max_rows = case
         bounds, rows = p.tag_slabs(max_rows)
         assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
         assert bounds[-1][1] == p.m and all(0 < b - a <= max_rows for a, b in bounds)
+        sizes = [b - a for a, b in bounds]
+        assert sizes[:-1] == [sizes[0]] * (len(sizes) - 1) and sizes[-1] <= sizes[0]
         for a, b in bounds:
             got = rows(a, b)
             assert got.shape == (b - a, p.dim) and got.tobytes() == tags[a:b].tobytes()
@@ -591,6 +594,21 @@ class TestGridTags:
             tracemalloc.stop()
         assert peak < 2**20  # the 2^20 tags alone would be 16 MiB
         _assert_per_axis_arrays_only(p, p.counts)
+
+    def test_random_tags_are_built_in_the_draws_array(self):
+        """The draws, then one grid of widths or lows at a time: no third
+        (m, dim) array for ``lows + draws * widths``. A small build runs
+        untraced first, so that one-time imports (``numpy.random``) do not
+        count."""
+        box = Box(((0.0, 1.0), (0.0, 2.0)))
+        make_uniform_partition(box, 2, "random", 5)
+        tracemalloc.start()
+        try:
+            p = make_uniform_partition(box, 1024, "random", 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * p.m + 2**20  # each (m, 2) array is 16 bytes per cell
 
 
 class TestReadOnly:

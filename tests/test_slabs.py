@@ -96,13 +96,15 @@ def test_a_float_for_a_partition_is_broadcast():
     )
 
 
-# counts -> the slab sizes of one run of the leading axes: the trailing block
-# of the slab axis lies below, at or above a slab.
+# counts -> the slab sizes: equal runs of whole trailing blocks, which may
+# cross the leading indices, and a shorter last run. The trailing block of
+# the slab axis lies below, at or above a slab.
 GRID_SLABS = {
     (4, 7, 300): [3 * 2100, 2100],  # runs of whole 2100-cell blocks along axis 0
-    (3, _SLAB_ROWS): [_SLAB_ROWS],  # one block is one slab
-    (3, 10000): [_SLAB_ROWS, 10000 - _SLAB_ROWS],  # runs along axis 1
-    (2, 5, 9000): [_SLAB_ROWS, 9000 - _SLAB_ROWS],  # runs along axis 2
+    (3, _SLAB_ROWS): [_SLAB_ROWS] * 3,  # one block is one slab
+    (3, 10000): [_SLAB_ROWS] * 3 + [30000 - 3 * _SLAB_ROWS],  # blocks of one cell
+    (2, 5, 9000): [_SLAB_ROWS] * 10 + [90000 - 10 * _SLAB_ROWS],
+    (96, 96, 96): [85 * 96] * 108 + [96**3 - 108 * 85 * 96],  # 109 slabs, not 192
 }
 
 
@@ -112,8 +114,7 @@ def test_grid_tag_slabs_match_one_whole_array_call(counts, rule):
     box = Box(tuple((-1.0, 0.5 + a) for a in range(len(counts))))
     p = make_uniform_partition(box, counts, rule)
     bounds, _ = p.tag_slabs(_SLAB_ROWS)
-    sizes = GRID_SLABS[counts]
-    assert [b - a for a, b in bounds] == sizes * (p.m // sum(sizes))
+    assert [b - a for a, b in bounds] == GRID_SLABS[counts]
     fn = _scalar if len(counts) == 2 else _vector
     whole = np.asarray(fn(grid_stack_tags(p.breakpoints, rule)), dtype=float)
     assert _rowwise(fn, p).tobytes() == whole.tobytes()
@@ -154,12 +155,14 @@ def test_a_full_sum_holds_three_cell_arrays_at_its_peak():
     [
         VariantSpec("deleted", FixedK(8), RandomPick(3)),
         VariantSpec("combined", FixedK(8), Prefix(), 0.5, 3),
+        VariantSpec("deleted", FixedK(8), LargestTerm()),
     ],
-    ids=["deleted-random", "combined-prefix"],
+    ids=["deleted-random", "combined-prefix", "deleted-largest"],
 )
 def test_a_deleted_sum_holds_no_more_than_a_full_sum(spec):
     """Deleted terms are overwritten in place: no keep mask and no copy of
-    the kept terms. The sum runs once untraced first, so that one-time
+    the kept terms, and LargestTerm ranks final terms with the integrand
+    values freed. The sum runs once untraced first, so that one-time
     imports (``numpy.random``) do not count."""
     f = ScalarField(2, _scalar)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 1024)
