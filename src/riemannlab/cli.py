@@ -193,7 +193,7 @@ def _cmd_verify(args) -> int:
     )
     print(
         f"scenario={sc.name} theorem={report.theorem} "
-        f"variants={report.lhs_variant}x{report.rhs_variant}"
+        f"variants={report.variant}"
     )
     print(f"lhs={report.lhs.value!r} (m={report.lhs.m})")
     print(f"rhs={report.rhs.value!r} (m={report.rhs.m})")

@@ -120,7 +120,9 @@ def surface_sum(
     """Surface sum over ``partition`` of the surface's parameter domain.
 
     Scalar or vector by field type; ``plan`` and ``perturbation`` are as
-    for :func:`line_sum`.
+    for :func:`line_sum`. A scalar surface sum raises DegenerateNormal when
+    it keeps a cell whose tag has a vanishing normal; a vector one does not
+    check.
     """
     vector = isinstance(field, VectorField)
     integrand = surface_dots if vector else _scalar_surface_integrand

@@ -48,7 +48,11 @@ class DimensionMismatch(RiemannLabError):
 
 
 class DegenerateNormal(RiemannLabError):
-    """The surface normal vanishes at a tag used by a surface sum."""
+    """The surface normal vanishes at a tag used by a scalar surface sum.
+
+    A vector surface sum (a flux, or a Gauss boundary) does not check it:
+    F . N is 0 there, and the term is summed as such.
+    """
 
 
 class OrientationCheckFailed(RiemannLabError):

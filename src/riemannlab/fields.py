@@ -12,8 +12,10 @@ The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
 integrand at a partition's tags with :func:`_rowwise`: in C-order slabs of
 at most ``_SLAB_ROWS`` tags, all of one length but the last, each built
 where it is evaluated, shared by the caller and a pool of one thread per
-further usable CPU, and written into one output array. Row-wise results do
-not depend on where a slab starts, so the values do not depend on the slab
+further usable CPU, and written into one output array. The pool is made
+when this module is imported, and again in a forked child; its threads
+start on the first sum that hands it a slab. Row-wise results do not
+depend on where a slab starts, so the values do not depend on the slab
 bounds, the thread count or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
@@ -65,7 +67,6 @@ class VectorField:
     fn: Callable
     div: Callable | None = None
     curl: Callable | None = None
-    bound_M: float | None = None
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -124,9 +125,6 @@ class ParametricRegion:
 
 _SLAB_ROWS = 8192  # rows per slab: the integrand's temporaries stay cache-sized
 
-_pool: ThreadPoolExecutor | None = None
-_helpers = 0  # pool threads: one per usable CPU besides the caller
-_pool_lock = threading.Lock()
 _worker = threading.local()  # ``inside`` is set in pool threads
 
 
@@ -134,39 +132,27 @@ def _mark_worker() -> None:
     _worker.inside = True
 
 
-def _forget_pool() -> None:
-    """A forked child has none of its parent's pool threads."""
-    global _pool
-    _pool = None
+def _make_pool() -> None:
+    """Set ``_pool``: one thread per usable CPU besides the caller, or None.
 
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _slab_pool() -> ThreadPoolExecutor | None:
-    """The process-wide pool, or None where slabs must run in the caller.
-
-    That is inside a pool thread (a handle that sums waits on no pool slot,
-    so nesting cannot deadlock) and in a process with one usable CPU.
+    It runs at import and again in a forked child, which has none of its
+    parent's pool threads. The executor starts its threads only when a sum
+    first hands it a slab.
     """
     global _pool, _helpers
-    if getattr(_worker, "inside", False):
-        return None
-    if _pool is None:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            cpus = os.cpu_count() or 1
-        if cpus < 2:
-            return None
-        with _pool_lock:
-            if _pool is None:
-                _helpers = cpus - 1
-                _pool = ThreadPoolExecutor(
-                    _helpers, thread_name_prefix="riemannlab-slab", initializer=_mark_worker
-                )
-    return _pool
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    _helpers = cpus - 1
+    _pool = None if _helpers == 0 else ThreadPoolExecutor(
+        _helpers, thread_name_prefix="riemannlab-slab", initializer=_mark_worker
+    )
+
+
+_make_pool()
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_make_pool)
 
 
 def _rowwise(fn: Callable, p: Partition):
@@ -177,9 +163,10 @@ def _rowwise(fn: Callable, p: Partition):
     caller evaluates the first slab as a float array, which is the result
     when it is the only slab. Otherwise it fixes the trailing shape of the
     float output (a 0-d result is broadcast over the rows), and the caller
-    and the pool's threads, one per usable CPU besides the caller, take the
-    other slabs in order and fill that one preallocated array. The
-    exception of the lowest failing slab propagates as raised.
+    and the threads of ``_pool`` take the other slabs in order and fill that
+    one preallocated array; a pool thread, and a process with one usable
+    CPU (``_pool`` is None), takes them all itself. The exception of the
+    lowest failing slab propagates as raised.
     """
     bounds, rows = p.tag_slabs(_SLAB_ROWS)
     first_stop = bounds[0][1]
@@ -207,7 +194,8 @@ def _rowwise(fn: Callable, p: Partition):
             except Exception as exc:
                 failures[start] = exc
 
-    pool = _slab_pool()
+    # A pool thread waits on no pool slot, so nested sums cannot deadlock.
+    pool = None if getattr(_worker, "inside", False) else _pool
     helpers = [] if pool is None else [
         pool.submit(drain) for _ in range(min(_helpers, len(bounds) - 2))
     ]

@@ -141,13 +141,6 @@ def fit_rate(rows, exact: float) -> float | None:
     return float(slope)
 
 
-def _variant_label(sc: Scenario, spec: VariantSpec, boundary_spec) -> str:
-    if sc.kind in THEOREM_KINDS:
-        bkind = (boundary_spec or spec).kind
-        return f"{spec.kind}x{bkind}"
-    return spec.kind
-
-
 def run_sweep(
     scenario: str,
     spec: VariantSpec = FULL,
@@ -181,7 +174,7 @@ def run_sweep(
     return ConvergenceReport(
         scenario=sc.name,
         kind=sc.kind,
-        variant=_variant_label(sc, spec, boundary_spec),
+        variant=result.variant,
         rows=tuple(rows),
         fitted_rate=fit_rate(rows, sc.exact),
     )
@@ -193,7 +186,7 @@ def single_report(sc: Scenario, result, spec: VariantSpec) -> ConvergenceReport:
     return ConvergenceReport(
         scenario=sc.name,
         kind=sc.kind,
-        variant=_variant_label(sc, spec, None),
+        variant=result.variant,
         rows=(row,),
         fitted_rate=None,
     )

@@ -63,6 +63,11 @@ class TheoremReport:
         return self.rhs.variant
 
     @property
+    def variant(self) -> str:
+        """The two sides' variants, interior first: ``"fullxdeleted"``."""
+        return f"{self.lhs.variant}x{self.rhs.variant}"
+
+    @property
     def lhs_error(self) -> float | None:
         return None if self.reference is None else abs(self.lhs.value - self.reference)
 

@@ -7,6 +7,7 @@ from riemannlab import (
     FixedK,
     InvalidParameter,
     IoFailure,
+    LargestTerm,
     NonMonotoneMList,
     Prefix,
     RandomPick,
@@ -83,6 +84,23 @@ def test_a_scenario_that_misfits_its_kind_is_refused_at_registration(case):
     assert scenario_names() == before
 
 
+TOLERANCES = [
+    (name, variant) for name in scenario_names() for variant, _ in get_scenario(name).tolerances
+]
+
+
+@pytest.mark.parametrize("name,variant", TOLERANCES, ids=[f"{n}-{v}" for n, v in TOLERANCES])
+def test_every_declared_tolerance_holds_at_the_default_m(name, variant):
+    """A scenario's per-variant |error| bound holds at its ``default_m`` for
+    every selector and a few seeds."""
+    sc = get_scenario(name)
+    for seed in range(3):
+        for selector in (Prefix(), RandomPick(seed), LargestTerm()):
+            spec = VariantSpec(variant, FixedK(1), selector, 0.5, seed)
+            error = abs(evaluate_scenario(sc, sc.default_m, spec).value - sc.exact)
+            assert error <= sc.tolerance_for(variant), (spec, error)
+
+
 class TestRunSweep:
     def test_midpoint_rate_is_second_order(self):
         rep = run_sweep("box.sinprod.2d", VariantSpec(), [16, 32, 64, 128])
@@ -93,6 +111,14 @@ class TestRunSweep:
         rep = run_sweep("green.disk.rotation", spec, [32, 64, 128, 256])
         assert rep.rows[-1].gap < 2e-2
         assert rep.variant == "combinedxcombined"
+        # The label names each side's own kind, interior first.
+        rep = run_sweep(
+            "green.disk.rotation", VariantSpec(), [8, 16, 32],
+            boundary_spec=VariantSpec("deleted", FixedK(2)),
+        )
+        assert rep.variant == "fullxdeleted"
+        assert all(r.deleted_count == 2 for r in rep.rows)
+        assert render_csv(rep).splitlines()[1].split(",")[2] == "fullxdeleted"
 
     def test_rows_ascending_with_metadata(self):
         spec = VariantSpec("deleted", FixedK(2), Prefix())

@@ -203,7 +203,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def test_concurrent_callers_share_one_lazily_made_pool(monkeypatch):
+def test_concurrent_callers_share_the_one_import_time_pool(monkeypatch):
     made = []
 
     class CountingPool(fields.ThreadPoolExecutor):
@@ -212,7 +212,8 @@ def test_concurrent_callers_share_one_lazily_made_pool(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(fields, "_pool", None)
+    pool = fields._pool
+    assert (pool is not None) == (_cpus() > 1)
     inputs = [_random_tags(3 * _SLAB_ROWS + i, 2, seed=i)
               for i in range(2 * _cpus() + 2)]  # more callers than cores
     results = [None] * len(inputs)
@@ -232,10 +233,10 @@ def test_concurrent_callers_share_one_lazily_made_pool(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for pool in made:
-            pool.shutdown()
+        for extra in made:
+            extra.shutdown()
     assert not any(t.is_alive() for t in callers)
-    assert len(made) == (1 if _cpus() > 1 else 0)
+    assert made == [] and fields._pool is pool, "a sum made a pool of its own"
     for p, got in zip(inputs, results):
         assert got.tobytes() == _scalar(p.tags).tobytes()
 
@@ -263,7 +264,9 @@ def test_a_handle_that_sums_in_a_pool_thread_returns():
 
 
 def _send_child_sum(conn, f, p):
-    conn.send((fields._pool is None, variant_sum(f, p).value.hex()))
+    pool = fields._pool
+    value = variant_sum(f, p).value.hex()
+    conn.send((id(pool), fields._pool is pool, value))
     conn.close()
 
 
@@ -271,10 +274,10 @@ def _send_child_sum(conn, f, p):
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_starts_without_the_pool_and_sums_the_same():
+def test_a_forked_child_makes_its_own_pool_and_sums_the_same():
     f = ScalarField(2, _scalar)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
-    value = variant_sum(f, p).value.hex()
+    value = variant_sum(f, p).value.hex()  # the parent's pool threads are running
     assert (fields._pool is not None) == (_cpus() > 1)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
@@ -283,13 +286,16 @@ def test_a_forked_child_starts_without_the_pool_and_sums_the_same():
     send.close()
     try:
         assert receive.poll(60), "the forked child sent nothing within 60 s"
-        fresh, child_value = receive.recv()
+        child_pool, kept, child_value = receive.recv()
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
-    assert fresh, "the forked child inherited the parent's pool"
+    # The child's pool is made at the fork, while the inherited one is still
+    # referenced, so a new pool has a new id; with one CPU both are None.
+    assert (child_pool != id(fields._pool)) == (_cpus() > 1)
+    assert kept, "the forked child made a pool in its sum"
     assert child_value == value
 
 

@@ -251,6 +251,7 @@ class TestReport:
         rep = TheoremReport("green", self._side(1.0), self._side(1.5, "perturbed"), 2.0)
         assert (rep.gap, rep.lhs_error, rep.rhs_error) == (0.5, 1.0, 0.5)
         assert (rep.lhs_variant, rep.rhs_variant) == ("full", "perturbed")
+        assert rep.variant == "fullxperturbed"
         bare = TheoremReport("green", self._side(1.0), self._side(1.5))
         assert bare.lhs_error is None and bare.rhs_error is None
 
