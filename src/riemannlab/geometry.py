@@ -89,8 +89,10 @@ def _grid_rows(axes, j: int):
     ]
 
     def rows(start: int, stop: int) -> np.ndarray:
-        lead = np.arange(start // block, stop // block)  # the blocks' indices
-        out = np.empty((len(lead),) + counts[j + 1 :] + (dim,))
+        first, last = start // block, stop // block  # the blocks' indices
+        # At j = 0 the blocks are axis 0's own indices, a contiguous run.
+        lead = slice(first, last) if j == 0 else np.arange(first, last)
+        out = np.empty((last - first,) + counts[j + 1 :] + (dim,))
         for a in range(j, 0, -1):  # axes j down to 1 take their digits
             lead, digit = np.divmod(lead, counts[a])
             out[..., a] = axes[a][digit].reshape(run_shape)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from riemannlab import Box, ParametricSurface, Path, ScalarField
-from riemannlab.fields import _fd_partial
+from riemannlab.fields import _FD4_OFFSETS, _FD4_WEIGHTS, _fd_partial
 from riemannlab.summation import neumaier_sum
 
 
@@ -334,6 +334,24 @@ def _sample_box(box: Box, n: int, seed: int) -> np.ndarray:
     lows = np.array([lo for lo, _ in box.axes])
     highs = np.array([hi for _, hi in box.axes])
     return lows + rng.random((n, box.dim)) * (highs - lows)
+
+
+def per_offset_fd_partial(fn, x: np.ndarray, axis: int, component=None):
+    """The 4th-order central difference one offset at a time: a copy of the
+    points and a call of ``fn`` per offset, every component weighted, and
+    ``component`` taken from the whole partial."""
+    if component is not None:
+        return per_offset_fd_partial(fn, x, axis)[..., component]
+    h = np.maximum(1e-6, 1e-6 * np.abs(x[..., axis]))
+    acc = None
+    for off, w in zip(_FD4_OFFSETS, _FD4_WEIGHTS):
+        shifted = x.copy()
+        shifted[..., axis] = x[..., axis] + off * h
+        val = np.asarray(fn(shifted), dtype=float) * w
+        acc = val if acc is None else acc + val
+    if acc.ndim > h.ndim:  # vector-valued fn: divide per component
+        return acc / h[..., None]
+    return acc / h
 
 
 def gradient_deviation(f: ScalarField, box: Box, n: int = 1000, seed: int = 0) -> float:

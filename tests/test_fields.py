@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riemannlab import (
     Box,
@@ -28,10 +30,13 @@ from riemannlab.scenarios import (
     get_scenario,
 )
 
+from riemannlab.fields import _fd_partial
+
 from oracles import (
     gradient_deviation,
     min_interior_normal,
     path_velocity_deviation,
+    per_offset_fd_partial,
     surface_partial_deviation,
 )
 
@@ -125,6 +130,121 @@ class TestPlaneCurl:
         F = VectorField(3, 3, lambda p: p)
         with pytest.raises(DimensionMismatch):
             plane_curl(F, [0.0, 0.0, 0.0])
+
+
+def _transcendental(p):
+    c = [p[..., k] for k in range(p.shape[-1])]
+    return np.stack(
+        [np.sin(c[k - 1]) * np.exp(0.5 * ck) + ck * np.cos(c[(k + 1) % len(c)])
+         for k, ck in enumerate(c)],
+        axis=-1,
+    )
+
+
+def _blowup(p):  # inf from exp and from 1e308 * p, nan from sqrt and inf - inf
+    return np.exp(p) + 1e308 * p + np.sqrt(p)
+
+
+# Vector fields R^n -> R^n for any n; the last two return their input or a
+# view of it, so a stack of shifted points that is written after the call
+# would change their values.
+DIFFERENCED = {
+    "transcendental": _transcendental,
+    "blowup": _blowup,
+    "identity": lambda p: p,
+    "view": lambda p: p[..., ::-1],
+}
+
+_COORDS = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e6, -1e6]) | st.floats(
+    1e-9, 1e6
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def _points(draw):
+    """A single point (n,) or a batch (rows, n) of coordinates from 1e-9 to
+    1e6 in magnitude, and +-0."""
+    n = draw(st.sampled_from([2, 3]))
+    rows = draw(st.sampled_from([None, 1, 8192]) | st.integers(1, 49).map(lambda k: 2 * k + 1))
+    pool = np.array(draw(st.lists(_COORDS, min_size=1, max_size=16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(pool, size=(n,) if rows is None else (rows, n))
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestStackedDifferences:
+    """The stacked partial has the bits of one copy and call per offset."""
+
+    @given(st.sampled_from(sorted(DIFFERENCED)), _points())
+    @example("identity", np.array([-0.0, 0.0, 1e6]))
+    @example("blowup", np.array([[1e6, -1e-9], [-0.0, 710.0], [0.0, -1e6]]))
+    @settings(max_examples=80, deadline=None)
+    def test_bits_equal_the_per_offset_formula(self, name, x):
+        fn, n = DIFFERENCED[name], x.shape[-1]
+        scalar = lambda p: fn(p)[..., 0]  # noqa: E731
+        F = VectorField(n, n, fn)
+        with np.errstate(all="ignore"):
+            d = [per_offset_fd_partial(fn, x, axis) for axis in range(n)]
+            for axis in range(n):
+                assert _bits(_fd_partial(fn, x, axis)) == _bits(d[axis])
+                for c in range(n):
+                    assert _bits(_fd_partial(fn, x, axis, c)) == _bits(d[axis][..., c])
+            for f in (scalar, lambda p: 2.5):  # a float for a batch is broadcast
+                want = np.stack([per_offset_fd_partial(f, x, a) for a in range(n)], axis=-1)
+                assert _bits(gradient(ScalarField(n, f), x)) == _bits(want)
+            want = d[0][..., 0]
+            for axis in range(1, n):
+                want = want + d[axis][..., axis]
+            assert _bits(divergence(F, x)) == _bits(want)
+            if n == 2:
+                assert _bits(plane_curl(F, x)) == _bits(d[0][..., 1] - d[1][..., 0])
+            else:
+                want = np.stack(
+                    [
+                        d[1][..., 2] - d[2][..., 1],
+                        d[2][..., 0] - d[0][..., 2],
+                        d[0][..., 1] - d[1][..., 0],
+                    ],
+                    axis=-1,
+                )
+                assert _bits(curl(F, x)) == _bits(want)
+
+
+class _Counted:
+    """A field that records the shape of every batch it is called on."""
+
+    def __init__(self, fn):
+        self.fn, self.shapes = fn, []
+
+    def __call__(self, p):
+        self.shapes.append(p.shape)
+        return self.fn(p)
+
+
+class TestDifferenceCalls:
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (777, 3)], ids=str)
+    def test_one_call_on_four_shifted_copies(self, shape):
+        x = np.random.default_rng(0).random(shape)
+        fn = _Counted(_transcendental)
+        _fd_partial(fn, x, 1)
+        _fd_partial(fn, x, 2, 0)
+        rows = 4 * (x.size // 3)
+        assert fn.shapes == [(rows, 3), (rows, 3)]
+
+    def test_one_call_per_axis(self):
+        x = np.random.default_rng(1).random((50, 3))
+        for op, dim, calls in ((divergence, 3, 3), (curl, 3, 3), (plane_curl, 2, 2)):
+            fn = _Counted(_transcendental)
+            op(VectorField(dim, dim, fn), x[:, :dim])
+            assert fn.shapes == [(200, dim)] * calls
+        for dim in (1, 2, 3):
+            fn = _Counted(lambda p: p[..., 0] * p[..., -1])
+            gradient(ScalarField(dim, fn), x[:, :dim])
+            assert fn.shapes == [(200, dim)] * dim
 
 
 class TestRegisteredFieldInvariants:

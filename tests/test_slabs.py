@@ -5,6 +5,8 @@
 grid tags are built slab by slab. The reference is one call on the whole
 tag array, ``p.tags``; setting ``_SLAB_ROWS`` to infinity makes every
 evaluation one call, which the slabbed results must match bit for bit.
+The theorem checks at the benchmark's resolutions must also match the same
+checks with their finite differences taken one offset at a time.
 """
 
 import math
@@ -48,7 +50,7 @@ from riemannlab.scenarios import (
     scenario_names,
 )
 
-from oracles import grid_stack_tags
+from oracles import grid_stack_tags, per_offset_fd_partial
 
 SIZES = [_SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 3 * _SLAB_ROWS + 5]
 
@@ -354,5 +356,8 @@ def _fingerprint(report) -> list[str]:
 )
 def test_theorem_reports_do_not_depend_on_slabs(check, monkeypatch):
     slabbed = _fingerprint(check())
+    with monkeypatch.context() as patch:  # one copy and call per FD offset
+        patch.setattr(fields, "_fd_partial", per_offset_fd_partial)
+        assert _fingerprint(check()) == slabbed
     monkeypatch.setattr(fields, "_SLAB_ROWS", math.inf)
     assert _fingerprint(check()) == slabbed
