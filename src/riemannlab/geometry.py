@@ -127,16 +127,15 @@ class Partition:
     explicit tags are stored as an (m, dim) array, which ``tag_extents``
     reduces per axis in one cached pass. Either way the tag checks then cost
     O(sum of counts), and sums build tags a slab at a time (``tag_slabs``).
-    ``is_equal`` means every cell has the same measure. Every array a
+    The box ``parent`` and ``is_equal`` (every cell has the same measure) are
+    read off the breakpoints and widths, never stored. Every array a
     partition holds is a read-only view, so no write can move a tag out of
     its cell after the checks.
     """
 
-    parent: Box
     breakpoints: tuple[np.ndarray, ...]
     axis_widths: tuple[np.ndarray, ...]
     tag_source: np.ndarray | tuple[np.ndarray, ...]
-    is_equal: bool
 
     def __post_init__(self):
         tags = self.tag_source
@@ -145,9 +144,19 @@ class Partition:
         object.__setattr__(self, "axis_widths", tuple(map(_read_only, self.axis_widths)))
         object.__setattr__(self, "tag_source", tags)
 
+    @cached_property
+    def parent(self) -> Box:
+        """The box the breakpoints span, from their first to their last."""
+        return Box(tuple((b[0], b[-1]) for b in self.breakpoints))
+
+    @cached_property
+    def is_equal(self) -> bool:
+        """Every cell has the same measure: on each axis all widths are equal."""
+        return all(bool(np.all(w == w[0])) for w in self.axis_widths)
+
     @property
     def dim(self) -> int:
-        return self.parent.dim
+        return len(self.breakpoints)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -280,13 +289,12 @@ def make_partition(
     breaks = _validate_breakpoints(box, breakpoints)
     m = _check_cell_cap(len(b) - 1 for b in breaks)
     widths = tuple(np.diff(b) for b in breaks)
-    is_equal = all(bool(np.all(w == w[0])) for w in widths)
     if tags is None:
-        return Partition(box, breaks, widths, _make_tags(breaks, tag_rule, seed), is_equal)
+        return Partition(breaks, widths, _make_tags(breaks, tag_rule, seed))
     tags = np.array(tags, dtype=float, order="C")
     if tags.shape != (m, box.dim):
         raise InvalidParameter(f"tags must have shape ({m}, {box.dim})")
-    p = Partition(box, breaks, widths, tags, is_equal)
+    p = Partition(breaks, widths, tags)
     if _escaped_axis(p.tag_extents, breaks) is not None:  # p keeps its extents
         raise InvalidParameter("explicit tags must lie inside their closed cells")
     return p
@@ -315,8 +323,7 @@ def make_uniform_partition(
     widths = tuple(
         np.full(c, (hi - lo) / c) for (lo, hi), c in zip(box.axes, counts)
     )
-    tags = _make_tags(breaks, tag_rule, seed)
-    return Partition(box, breaks, widths, tags, is_equal=True)
+    return Partition(breaks, widths, _make_tags(breaks, tag_rule, seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,7 +445,6 @@ def reflect_partition(p: Partition) -> Partition:
     tags all map bitwise; cell k of the result is the mirror image of cell
     m-1-k (per axis) of the input. Grid tags map per axis, to ``-c[::-1]``.
     """
-    box = Box(tuple((-hi, -lo) for lo, hi in p.parent.axes))
     breaks = tuple(-b[::-1] for b in p.breakpoints)
     widths = tuple(w[::-1].copy() for w in p.axis_widths)
     axes = p.tag_axes
@@ -447,7 +453,7 @@ def reflect_partition(p: Partition) -> Partition:
     else:
         flipped = -np.flip(p.tag_grid, axis=tuple(range(p.dim))).reshape(p.m, p.dim)
         tags = np.ascontiguousarray(flipped)
-    return Partition(box, breaks, widths, tags, p.is_equal)
+    return Partition(breaks, widths, tags)
 
 
 def swap_axes_partition(p: Partition) -> Partition:
@@ -458,7 +464,6 @@ def swap_axes_partition(p: Partition) -> Partition:
     """
     if p.dim != 2:
         raise DegenerateBox("axis swap is defined for 2D partitions")
-    box = Box((p.parent.axes[1], p.parent.axes[0]))
     axes = p.tag_axes
     if axes is not None:
         tags = (axes[1], axes[0])
@@ -466,11 +471,7 @@ def swap_axes_partition(p: Partition) -> Partition:
         swapped = p.tag_grid.transpose(1, 0, 2)[..., ::-1].reshape(p.m, 2)
         tags = np.ascontiguousarray(swapped)
     return Partition(
-        box,
-        (p.breakpoints[1], p.breakpoints[0]),
-        (p.axis_widths[1], p.axis_widths[0]),
-        tags,
-        p.is_equal,
+        (p.breakpoints[1], p.breakpoints[0]), (p.axis_widths[1], p.axis_widths[0]), tags
     )
 
 

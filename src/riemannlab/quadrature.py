@@ -7,10 +7,11 @@ combined    perturbed measures and a deletion plan together
 
 :func:`pieces_sum` is the one place these variants are told apart: box,
 region, line, surface and theorem-boundary sums only build row-wise
-integrands and hand them to it, with the partitions they live on. It is the
-one place integrands are evaluated, at their tags in row slabs; it also
-resolves deletion once over one index space, weights by base or perturbed
-cell measures, overwrites the deleted terms with -0.0, which changes no bit
+integrands (a region's is f pulled back to its parameter box) and hand
+them to it, with the partitions they live on. It is the one place
+integrands are evaluated, at their tags in row slabs; it also resolves
+deletion once over one index space, weights by base or perturbed cell
+measures, overwrites the deleted terms with -0.0, which changes no bit
 of a sum, and reduces to the correctly rounded, order-independent sum, so
 equal inputs give bit-identical estimates.
 
@@ -75,20 +76,6 @@ class SumEstimate:
             raise InvalidParameter("deleted_count > 0 only for deleted/combined variants")
         if self.symdiff_total and self.variant not in ("perturbed", "combined"):
             raise InvalidParameter("symdiff_total > 0 only for perturbed/combined variants")
-
-
-# --- region integrals via change of variables --------------------------------
-
-
-def region_integrand(f: ScalarField, region: ParametricRegion) -> ScalarField:
-    """Pull f back to the parameter box: g = f(mapping(params)) * jac_det."""
-    if f.dim != region.dim:
-        raise DimensionMismatch(f"field dim {f.dim} != region dim {region.dim}")
-    return ScalarField(
-        dim=region.param_box.dim,
-        fn=lambda params: np.asarray(f(region.mapping(params)), dtype=float)
-        * np.asarray(region.jac_det(params), dtype=float),
-    )
 
 
 # --- variant configuration ---------------------------------------------------
@@ -274,14 +261,21 @@ def region_sum(
     plan: DeletionPlan | None = None,
     perturbation: PerturbedPartition | None = None,
 ) -> SumEstimate:
-    """Region integral: change of variables, then :func:`variant_sum`.
+    """Region integral: the box sum of ``f(mapping(params)) * jac_det(params)``.
 
     ``p`` must partition ``region.param_box``; ``plan`` and ``perturbation``
     are as for :func:`variant_sum`.
     """
     if p.parent.axes != region.param_box.axes:
         raise DimensionMismatch("partition does not cover the region's parameter box")
-    return variant_sum(region_integrand(f, region), p, spec, plan, perturbation)
+    if f.dim != region.dim:
+        raise DimensionMismatch(f"field dim {f.dim} != region dim {region.dim}")
+
+    def integrand(params):
+        values = np.asarray(f(region.mapping(params)), float)
+        return values * np.asarray(region.jac_det(params), float)
+
+    return pieces_sum([integrand], [p], spec, plan, perturbation)
 
 
 def field_bound(f: ScalarField, p: Partition) -> tuple[float, bool]:

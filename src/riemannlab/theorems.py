@@ -10,7 +10,8 @@ checked to cover its piece), summed in one call to the variant kernel,
 for deletion, and a perturbation jitters piece i with seed ``spec.seed + i``.
 Its orientation is checked by one rule: a probe field's boundary side must
 have the sign of its interior side, which is an area or a volume (positive,
-as ``jac_det >= 0``) for Green and Gauss and the probe's curl flux for Stokes.
+as ``jac_det >= 0``) for Green and Gauss and the probe's curl flux for Stokes,
+summed as Stokes' interior side is, from the probe's ``curl`` handle.
 """
 
 from __future__ import annotations
@@ -86,9 +87,7 @@ _DISK_PROBE = VectorField(
     3,
     3,
     lambda p: np.stack([-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1) / 2.0,
-)
-_DISK_PROBE_CURL = VectorField(
-    3, 3, lambda p: np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape).copy()
+    curl=lambda p: np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape),
 )
 
 # theorem -> (orientation probe, what a failing probe asks of the boundary)
@@ -180,6 +179,11 @@ def gauss_check(
     )
 
 
+def _curl_flux(F, surface, partition, spec) -> SumEstimate:
+    """The flux of curl(F) through ``surface``: Stokes' interior side."""
+    return surface_sum(VectorField(3, 3, lambda x: curl(F, x)), surface, partition, spec)
+
+
 def stokes_check(
     F: VectorField,
     surface: ParametricSurface,
@@ -193,10 +197,9 @@ def stokes_check(
     """Compare both sides of Stokes' theorem on a parametrized surface."""
     if F.dim_in != 3:
         raise DimensionMismatch("stokes_check needs a 3D field")
-    probe_flux = surface_sum(_DISK_PROBE_CURL, surface, surface_partition, FULL).value
-    curl_F = VectorField(3, 3, fn=lambda x: curl(F, x))
+    probe_flux = _curl_flux(_DISK_PROBE, surface, surface_partition, FULL).value
     return _two_sided(
-        "stokes", F, lambda spec: surface_sum(curl_F, surface, surface_partition, spec),
+        "stokes", F, lambda spec: _curl_flux(F, surface, surface_partition, spec),
         [boundary], [boundary_partition], surface_spec, boundary_spec, reference,
         probe_flux,
     )

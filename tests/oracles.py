@@ -7,7 +7,9 @@ share no code path with the vectorized implementations they check. Fields
 used with these oracles should be polynomial (arithmetic only), keeping
 scalar and vectorized evaluation bit-identical. The agreement checks
 compare analytic derivative handles with finite differences of the
-handles they differentiate.
+handles they differentiate. Two earlier library forms are kept as
+references for the forms that replaced them: the region pull-back as a
+field of its own, and the Stokes probe's curl as a stored field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import math
 
 import numpy as np
 
-from riemannlab import Box, ParametricSurface, Path, ScalarField
+from riemannlab import (
+    Box,
+    DimensionMismatch,
+    ParametricRegion,
+    ParametricSurface,
+    Path,
+    ScalarField,
+    VectorField,
+)
 from riemannlab.fields import _FD4_OFFSETS, _FD4_WEIGHTS, _fd_partial
 from riemannlab.summation import neumaier_sum
 
@@ -324,6 +334,32 @@ def random_poly_surface(rng):
         return np.stack([zero, one, b + c * u], axis=-1)
 
     return pos, du, dv
+
+
+# --- earlier forms the library replaced ------------------------------------------
+
+
+def region_integrand(f: ScalarField, region: ParametricRegion) -> ScalarField:
+    """Pull f back to the parameter box: g = f(mapping(params)) * jac_det."""
+    if f.dim != region.dim:
+        raise DimensionMismatch(f"field dim {f.dim} != region dim {region.dim}")
+    return ScalarField(
+        dim=region.param_box.dim,
+        fn=lambda params: np.asarray(f(region.mapping(params)), dtype=float)
+        * np.asarray(region.jac_det(params), dtype=float),
+    )
+
+
+# The Stokes orientation probe's curl, (0, 0, 1) everywhere, as a field.
+DISK_PROBE_CURL = VectorField(
+    3, 3, lambda p: np.broadcast_to(np.array([0.0, 0.0, 1.0]), p.shape).copy()
+)
+
+
+def estimate_bits(est) -> tuple:
+    """Every field of a sum estimate, floats as their bytes."""
+    floats = (est.value, est.mesh, est.symdiff_total, est.compensation_residual)
+    return est.variant, est.m, est.deleted_count, np.array(floats).tobytes()
 
 
 # --- agreement checks of analytic handles against differences -----------------

@@ -225,3 +225,33 @@ def test_byte_identical_reruns(args, tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout.encode() == second.stdout.encode()
     assert first_bytes == second_bytes
+
+
+class TestVanishingNormal:
+    """Today's contract at the sphere's poles, where corner tags sit on a
+    vanishing normal: only a scalar surface sum that keeps such a tag refuses.
+    A change that makes scalar and vector surface sums agree edits this test."""
+
+    AREA = ("integrate", "surface.sphere.area", "--m", "8", "--tags", "corner")
+    VALUE = "value=12.404462994313903 "
+
+    def test_scalar_sum_keeping_a_pole_tag_is_refused(self):
+        res = invoke(*self.AREA)
+        assert res.returncode == 2
+        assert "surface normal vanishes at a used tag" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_scalar_sum_deleting_the_pole_tags_runs(self):
+        res = invoke(*self.AREA, "--variant", "deleted", "--k", "8", "--selector", "prefix")
+        assert res.returncode == 0, res.stderr
+        assert self.VALUE in res.stdout
+
+    def test_flux_through_the_poles_is_not_checked(self):
+        res = invoke("integrate", "surface.sphere.flux", "--m", "8", "--tags", "corner")
+        assert res.returncode == 0, res.stderr
+        assert self.VALUE in res.stdout
+
+    def test_gauss_boundary_reaches_its_gap_check(self):
+        res = invoke("verify", "gauss.ball.identity", "--m", "8", "--tags", "corner")
+        assert res.returncode == 3
+        assert "verify FAILED: gap" in res.stderr

@@ -43,7 +43,7 @@ from riemannlab import (
 )
 
 from riemannlab.fields import _rowwise
-from riemannlab.geometry import _escaped_axis, select_indices
+from riemannlab.geometry import TAG_RULES, _escaped_axis, select_indices
 
 from oracles import (
     argsort_top_k,
@@ -408,9 +408,9 @@ def tagged_grids(draw):
     return box, breaks, tags
 
 
-def _unchecked_partition(box, breaks, tags):
+def _unchecked_partition(breaks, tags):
     """A partition holding ``tags`` as given, wherever they lie."""
-    return Partition(box, breaks, tuple(np.diff(b) for b in breaks), tags, False)
+    return Partition(breaks, tuple(np.diff(b) for b in breaks), tags)
 
 
 class TestTagExtents:
@@ -422,7 +422,7 @@ class TestTagExtents:
         box, breaks, tags = grid
         counts = tuple(len(b) - 1 for b in breaks)
         expected = per_cell_escaped_axis(tags, counts, breaks)
-        p = _unchecked_partition(box, breaks, tags)
+        p = _unchecked_partition(breaks, tags)
         assert _escaped_axis(p.tag_extents, breaks) == expected
         if expected is None:
             assert make_partition(box, breaks, tags=tags).tags.tobytes() == tags.tobytes()
@@ -442,7 +442,7 @@ class TestTagExtents:
             pert.append(q)
         counts = tuple(len(b) - 1 for b in breaks)
         expected = per_cell_escaped_axis(tags, counts, pert)
-        p = _unchecked_partition(box, breaks, tags)
+        p = _unchecked_partition(breaks, tags)
         if expected is None:
             apply_perturbation(p, pert)
         else:
@@ -611,6 +611,41 @@ class TestGridTags:
         assert peak < 2 * 16 * p.m + 2**20  # each (m, 2) array is 16 bytes per cell
 
 
+class TestDerivedFacts:
+    """A partition's box and equal flag are read off its breakpoints and
+    widths, and agree with the box and flag each constructor was given."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(quarter_grids(), st.sampled_from(TAG_RULES), st.integers(0, 2**16))
+    def test_box_and_equal_flag_match_each_constructor(self, grid, rule, seed):
+        box, breaks = grid
+        counts = tuple(len(b) - 1 for b in breaks)
+        mirrored = Box(tuple((-hi, -lo) for lo, hi in box.axes))
+        for p, uniform in (
+            (make_partition(box, breaks, rule, seed), False),
+            (make_uniform_partition(box, counts, rule, seed), True),
+        ):
+            equal = all(bool(np.all(w == w[0])) for w in p.axis_widths)
+            assert p.parent == box and p.is_equal == equal
+            assert p.is_equal or not uniform
+            assert p.dim == box.dim
+            q = reflect_partition(p)
+            assert q.parent == mirrored and q.is_equal == p.is_equal
+            if box.dim == 2:
+                s = swap_axes_partition(p)
+                assert s.parent == Box(box.axes[::-1]) and s.is_equal == p.is_equal
+
+    def test_a_direct_partition_cannot_claim_equal_cells(self):
+        b = np.array([0.0, 0.1, 0.5, 0.6, 1.0])
+        p = Partition((b,), (np.diff(b),), (b[:-1],))
+        assert p.parent == UNIT and not p.is_equal
+        with pytest.raises(EqualPartitionRequired):
+            bind_deletion(DeletionPlan(PowerLaw(0.5), Prefix()), p)
+        spec = VariantSpec("deleted", PowerLaw(0.5))
+        with pytest.raises(EqualPartitionRequired):
+            variant_sum(ScalarField(1, lambda x: x[..., 0]), p, spec)
+
+
 class TestReadOnly:
     """A partition and a perturbation hold read-only arrays, so no write can
     move a tag out of its cell once the checks have passed."""
@@ -637,7 +672,7 @@ class TestReadOnly:
         breaks = [np.array([0.0, 0.5, 1.0])]
         tags = np.array([[0.25], [0.75]])
         make_partition(UNIT, breaks, tags=tags)
-        Partition(UNIT, tuple(breaks), (np.diff(breaks[0]),), tags, True)
+        Partition(tuple(breaks), (np.diff(breaks[0]),), tags)
         breaks[0][1] = 0.25
         tags[0, 0] = 0.0
 

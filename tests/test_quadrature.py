@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    estimate_bits,
     mask_and_copy_sum,
     naive_box_terms,
     naive_magnitude,
     naive_total,
     random_box,
     random_poly_scalar,
+    region_integrand,
 )
 from riemannlab import (
     Box,
@@ -342,6 +344,35 @@ class TestIntegrateRegion:
         one = ScalarField(2, lambda q: np.ones(q.shape[:-1]))
         with pytest.raises(DimensionMismatch):
             region_sum(one, DISK_REGION, p)
+
+    def test_cover_is_checked_before_the_field_dimension(self):
+        one_3d = ScalarField(3, lambda q: np.ones(q.shape[:-1]))
+        elsewhere = make_uniform_partition(Box(((0.0, 2.0), (0.0, 1.0))), (4, 4))
+        with pytest.raises(DimensionMismatch, match="does not cover"):
+            region_sum(one_3d, DISK_REGION, elsewhere)
+        p = make_uniform_partition(DISK_REGION.param_box, (4, 4))
+        with pytest.raises(DimensionMismatch, match="field dim 3 != region dim 2"):
+            region_sum(one_3d, DISK_REGION, p)
+
+    @pytest.mark.parametrize("tag_rule", ["midpoint", "corner", "random"])
+    @pytest.mark.parametrize("selector", [Prefix(), RandomPick(4), LargestTerm()])
+    @pytest.mark.parametrize("kind", ["full", "deleted", "perturbed", "combined"])
+    @pytest.mark.parametrize(
+        "region,f,counts",
+        [
+            (DISK_REGION, ScalarField(2, lambda q: q[..., 0] * q[..., 0] + q[..., 1]), 12),
+            (BALL_REGION, ScalarField(3, lambda q: q[..., 0] * q[..., 1] + q[..., 2]), 6),
+        ],
+        ids=["disk", "ball"],
+    )
+    def test_matches_the_pulled_back_field_bit_for_bit(
+        self, region, f, counts, kind, selector, tag_rule
+    ):
+        p = make_uniform_partition(region.param_box, counts, tag_rule, seed=5)
+        spec = VariantSpec(kind, FixedK(3), selector, 0.5, seed=9)
+        got = region_sum(f, region, p, spec)
+        want = variant_sum(region_integrand(f, region), p, spec)
+        assert estimate_bits(got) == estimate_bits(want)
 
 
 class TestConvergenceSmoke:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from riemannlab import (
     DimensionMismatch,
     EqualPartitionRequired,
     FixedK,
+    LargestTerm,
     NonFiniteSum,
     OrientationCheckFailed,
     ParametricRegion,
@@ -25,18 +27,23 @@ from riemannlab import (
     make_uniform_partition,
     reverse_path,
     stokes_check,
+    surface_sum,
     swap_surface,
 )
+from oracles import DISK_PROBE_CURL, estimate_bits
 from riemannlab.harness import evaluate_scenario, run_sweep
 from riemannlab.quadrature import pieces_sum
 from riemannlab.scenarios import (
     CIRCLE_3D,
     DISK_PATCH,
     DISK_REGION,
+    HEMISPHERE,
     ROTATION_2D,
+    ROTATION_3D,
     TWO_PI,
     get_scenario,
 )
+from riemannlab.theorems import _DISK_PROBE, _curl_flux
 
 FULL = VariantSpec()
 
@@ -182,6 +189,33 @@ class TestStokes:
         bp = make_uniform_partition(Box(((0.0, TWO_PI),)), 128)
         with pytest.raises(OrientationCheckFailed):
             stokes_check(sc.field, flipped, surf_p, sc.path, bp)
+
+
+class TestStokesProbe:
+    """The probe's flux, the surface sum of its ``curl`` handle, is the flux
+    of the stored curl field it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("tag_rule", ["midpoint", "corner", "random"])
+    @pytest.mark.parametrize("selector", [Prefix(), RandomPick(4), LargestTerm()])
+    @pytest.mark.parametrize("kind", ["full", "deleted", "perturbed", "combined"])
+    @pytest.mark.parametrize("surface", [DISK_PATCH, HEMISPHERE], ids=["disk", "hemisphere"])
+    def test_flux_matches_the_stored_curl_field(self, surface, kind, selector, tag_rule):
+        p = make_uniform_partition(surface.domain, (10, 12), tag_rule, seed=3)
+        spec = VariantSpec(kind, FixedK(2), selector, 0.5, seed=8)
+        got = _curl_flux(_DISK_PROBE, surface, p, spec)
+        want = surface_sum(DISK_PROBE_CURL, surface, p, spec)
+        assert estimate_bits(got) == estimate_bits(want)
+
+    @pytest.mark.parametrize("tag_rule", ["midpoint", "corner", "random"])
+    @pytest.mark.parametrize("surface", [DISK_PATCH, HEMISPHERE], ids=["disk", "hemisphere"])
+    def test_a_flipped_surface_reports_that_flux(self, surface, tag_rule):
+        flipped = swap_surface(surface)
+        p = make_uniform_partition(flipped.domain, (10, 12), tag_rule, seed=3)
+        bp = make_uniform_partition(Box(((0.0, TWO_PI),)), 128)
+        flux = surface_sum(DISK_PROBE_CURL, flipped, p).value
+        assert flux < 0.0
+        with pytest.raises(OrientationCheckFailed, match=re.escape(f"side ({flux!r})")):
+            stokes_check(ROTATION_3D, flipped, p, CIRCLE_3D, bp)
 
 
 class TestInputErrors:
