@@ -221,12 +221,7 @@ def _cmd_converge(args) -> int:
     except ValueError:
         raise RiemannLabError(f"bad --m-list {args.m_list!r}") from None
     report = run_sweep(
-        args.scenario,
-        spec,
-        m_list,
-        seed=args.seed,
-        boundary_m=args.boundary_m,
-        tag_rule=args.tags,
+        args.scenario, spec, m_list, boundary_m=args.boundary_m, tag_rule=args.tags
     )
     print(f"scenario={report.scenario} kind={report.kind} variant={report.variant}")
     for row in report.rows:
@@ -260,7 +255,3 @@ def main(argv=None) -> int:
     except RiemannLabError as exc:
         print(f"riemann-lab: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

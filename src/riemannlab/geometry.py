@@ -15,12 +15,15 @@ partition keeps the same cells-by-index structure but jitters interior
 breakpoints, and a deletion plan names the cell indices a sum should drop.
 
 All constructed values are immutable, their arrays read-only, and
-deterministic: equal inputs (including seeds) give bit-identical state.
+deterministic: equal inputs (including seeds, which :func:`check_seed`
+checks for every draw) give bit-identical state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -236,7 +239,7 @@ def _validate_breakpoints(box: Box, breakpoints) -> tuple[np.ndarray, ...]:
             raise DegenerateBox(f"axis {i}: need at least two breakpoints")
         if b[0] != lo or b[-1] != hi:
             raise DegenerateBox(f"axis {i}: breakpoints must span [{lo}, {hi}]")
-        if not np.all(np.diff(b) > 0):
+        if not (b[1:] > b[:-1]).all():
             raise DegenerateBox(f"axis {i}: breakpoints must be strictly increasing")
         out.append(b)
     return tuple(out)
@@ -258,6 +261,15 @@ def _escaped_axis(extents, breakpoints) -> int | None:
     return None
 
 
+def check_seed(seed) -> int:
+    """``seed``, if it is a non-negative integer; anything else (None, a
+    negative or fractional number) raises InvalidParameter. Random tags,
+    jitter and RandomPick draw from ``default_rng(check_seed(seed))``."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _make_tags(breakpoints, tag_rule: str, seed: int):
     """A partition's ``tag_source``: per-axis coordinates for grid tags."""
     if tag_rule == "midpoint":
@@ -267,7 +279,7 @@ def _make_tags(breakpoints, tag_rule: str, seed: int):
     if tag_rule == "random":
         # lows + draws * widths in place: IEEE addition commutes, so same bits
         m = math.prod(len(b) - 1 for b in breakpoints)
-        tags = np.random.default_rng(seed).random((m, len(breakpoints)))
+        tags = np.random.default_rng(check_seed(seed)).random((m, len(breakpoints)))
         tags *= _grid_rows([np.diff(b) for b in breakpoints], 0)(0, m)
         tags += _grid_rows([b[:-1] for b in breakpoints], 0)(0, m)
         return tags
@@ -305,20 +317,24 @@ def make_uniform_partition(
 ) -> Partition:
     """Split every axis of ``box`` into equal segments.
 
-    ``counts`` gives the number of segments per axis (an int is broadcast to
-    all axes). The common cell measure is stored exactly, so the result is
-    an equal partition in the bitwise sense.
+    ``counts`` gives the number of segments per axis as integers (one is
+    broadcast to all axes), else DegenerateBox. The breakpoints pass
+    :func:`make_partition`'s checks, so a box too narrow for its counts in
+    floating point is refused. The common cell measure is stored exactly, so
+    the result is an equal partition in the bitwise sense.
     """
-    if np.isscalar(counts):
-        counts = (int(counts),) * box.dim
-    counts = tuple(int(c) for c in counts)
+    try:
+        per_axis = (counts,) * box.dim if np.ndim(counts) == 0 else counts
+        counts = tuple(map(operator.index, per_axis))
+    except (TypeError, ValueError):  # ValueError: a ragged sequence
+        raise DegenerateBox(f"counts must be integers, got {counts!r}") from None
     if len(counts) != box.dim:
         raise DegenerateBox("one count per axis required")
     if any(c < 1 for c in counts):
         raise DegenerateBox("counts must be >= 1 on every axis")
     _check_cell_cap(counts)
-    breaks = tuple(
-        np.linspace(lo, hi, c + 1) for (lo, hi), c in zip(box.axes, counts)
+    breaks = _validate_breakpoints(
+        box, [np.linspace(lo, hi, c + 1) for (lo, hi), c in zip(box.axes, counts)]
     )
     widths = tuple(
         np.full(c, (hi - lo) / c) for (lo, hi), c in zip(box.axes, counts)
@@ -409,7 +425,7 @@ def perturb(p: Partition, gamma: float, seed: int = 0) -> PerturbedPartition:
     """
     if not 0.0 <= gamma < 1.0:
         raise InvalidParameter(f"gamma must be in [0, 1), got {gamma}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     mesh_sq = p.mesh**2
 
     new_breaks = []
@@ -575,7 +591,7 @@ def select_indices(
     if isinstance(selector, Prefix):
         indices = np.arange(k)
     elif isinstance(selector, RandomPick):
-        rng = np.random.default_rng(selector.seed)
+        rng = np.random.default_rng(check_seed(selector.seed))
         indices = np.sort(rng.choice(m, size=k, replace=False))
     elif isinstance(selector, LargestTerm):
         if terms is None:

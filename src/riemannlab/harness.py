@@ -148,7 +148,7 @@ def run_sweep(
     scenario: str,
     spec: VariantSpec = FULL,
     m_list=(),
-    seed: int = 0,
+    seed: int | None = None,
     boundary_spec: VariantSpec | None = None,
     boundary_m: int | None = None,
     tag_rule: str = "midpoint",
@@ -156,10 +156,12 @@ def run_sweep(
     """Evaluate a scenario along ascending resolutions and fit the rate.
 
     ``m_list`` must be strictly increasing with at least 3 entries. Row i
-    runs with seed ``seed + i``; a fixed ``boundary_m`` (otherwise scaled
-    from each m) applies to every row.
+    runs with seed ``seed + i``, and ``seed`` defaults to ``spec.seed``; a
+    fixed ``boundary_m`` (otherwise scaled from each m) applies to every row.
     """
     sc = get_scenario(scenario)
+    if seed is None:
+        seed = spec.seed
     m_list = [int(m) for m in m_list]
     if len(m_list) < 3 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise NonMonotoneMList(

@@ -43,6 +43,7 @@ from .geometry import (
     Schedule,
     Selector,
     bind_deletion,
+    check_seed,
     perturb,
     select_indices,
 )
@@ -85,9 +86,9 @@ class SumEstimate:
 class VariantSpec:
     """One knob per theorem ingredient: K / K(m), J_K selector, jitter, tags.
 
-    ``seed`` drives the mesh jitter; a RandomPick selector carries its own
-    seed. :meth:`with_seed` rebinds both, which is how sweeps derive
-    independent per-row randomness.
+    ``seed`` (a non-negative integer) drives the mesh jitter; a RandomPick
+    selector carries its own seed. :meth:`with_seed` rebinds both, which is
+    how sweeps derive independent per-row randomness.
     """
 
     kind: str = "full"
@@ -99,6 +100,7 @@ class VariantSpec:
     def __post_init__(self):
         if self.kind not in VARIANTS:
             raise InvalidParameter(f"unknown variant kind {self.kind!r}")
+        check_seed(self.seed)
 
     @property
     def deletes(self) -> bool:
@@ -227,11 +229,7 @@ def resolve_variant(
     """
     plan = None
     if spec.deletes:
-        plan = bind_deletion(
-            DeletionPlan(spec.schedule, spec.selector),
-            p,
-            terms=magnitudes if isinstance(spec.selector, LargestTerm) else None,
-        )
+        plan = bind_deletion(DeletionPlan(spec.schedule, spec.selector), p, magnitudes)
     pp = perturb(p, spec.gamma, spec.seed) if spec.perturbs else None
     return plan, pp
 
@@ -276,15 +274,3 @@ def region_sum(
         return values * np.asarray(region.jac_det(params), float)
 
     return pieces_sum([integrand], [p], spec, plan, perturbation)
-
-
-def field_bound(f: ScalarField, p: Partition) -> tuple[float, bool]:
-    """(M, declared): the declared sup bound, or a tag-sample estimate.
-
-    The estimate is the largest |f| at the tags, evaluated in slabs as sums
-    are. Bound-inequality checks must be skipped when ``declared`` is False;
-    testing an estimated bound against itself would be tautological.
-    """
-    if f.bound_M is not None:
-        return float(f.bound_M), True
-    return float(np.max(np.abs(np.asarray(_rowwise(f, p), dtype=float)))), False

@@ -4,11 +4,13 @@ Each check computes the interior/differential side and the boundary side of
 the identity with independently configured sum variants (independent
 deletion index sets and jitters per side) and reports both values plus
 their gap. The three checks share one boundary path, :func:`_two_sided`.
-The boundary is a list of curves or surfaces, one partition per piece (each
-checked to cover its piece), summed in one call to the variant kernel,
-:func:`riemannlab.quadrature.pieces_sum`: the pieces share one index space
-for deletion, and a perturbation jitters piece i with seed ``spec.seed + i``.
-Its orientation is checked by one rule: a probe field's boundary side must
+It checks once that the boundary's curves or surfaces have one partition
+each, and sums the probe field and F over them alike: each piece's
+integrand (``line_dots`` or ``surface_dots``, which check that the
+partition covers the piece) goes to the variant kernel,
+:func:`riemannlab.quadrature.pieces_sum`, in one call, so the pieces share
+one index space for deletion and a perturbation jitters piece i with seed
+``spec.seed + i``. The orientation rule: the probe's boundary side must
 have the sign of its interior side, which is an area or a volume (positive,
 as ``jac_det >= 0``) for Green and Gauss and the probe's curl flux for Stokes,
 summed as Stokes' interior side is, from the probe's ``curl`` handle.
@@ -98,17 +100,6 @@ _PROBES = {
 }
 
 
-def _boundary_sum(F, pieces, partitions, spec) -> SumEstimate:
-    """F summed over boundary curves or surfaces, one partition per piece."""
-    if len(pieces) != len(partitions):
-        raise DimensionMismatch("one boundary partition per boundary piece required")
-    integrands = [
-        (line_dots if isinstance(piece, Path) else surface_dots)(F, piece, part)
-        for piece, part in zip(pieces, partitions)
-    ]
-    return pieces_sum(integrands, partitions, spec)
-
-
 def _two_sided(
     theorem, F, interior, pieces, partitions, lhs_spec, rhs_spec, reference,
     probe_interior=None,
@@ -119,8 +110,18 @@ def _two_sided(
     the probe's interior side; None means it is known to be positive.
     """
     pieces, partitions = list(pieces), list(partitions)
+    if len(pieces) != len(partitions):
+        raise DimensionMismatch("one boundary partition per boundary piece required")
+
+    def boundary_sum(G, spec) -> SumEstimate:
+        integrands = [
+            (line_dots if isinstance(piece, Path) else surface_dots)(G, piece, part)
+            for piece, part in zip(pieces, partitions)
+        ]
+        return pieces_sum(integrands, partitions, spec)
+
     probe, hint = _PROBES[theorem]
-    boundary = _boundary_sum(probe, pieces, partitions, FULL).value
+    boundary = boundary_sum(probe, FULL).value
     sign = 1.0 if probe_interior is None else probe_interior
     if not sign * boundary > 0.0:
         side = "positive" if probe_interior is None else probe_interior
@@ -129,7 +130,7 @@ def _two_sided(
             f"the sign of the interior side ({side}); {hint}"
         )
     lhs = interior(lhs_spec)
-    rhs = _boundary_sum(F, pieces, partitions, rhs_spec)
+    rhs = boundary_sum(F, rhs_spec)
     return TheoremReport(theorem, lhs, rhs, reference)
 
 

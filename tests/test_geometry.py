@@ -127,6 +127,47 @@ class TestUniformPartition:
         with pytest.raises(DegenerateBox):
             make_uniform_partition(UNIT, 0)
 
+    def test_counts_of_any_integer_type(self):
+        box = Box(((0.0, 1.0), (0.0, 2.0)))
+        for counts in (np.array(4), np.int64(4), (np.int32(4), 4), np.array([4, 4])):
+            assert make_uniform_partition(box, counts).counts == (4, 4)
+
+    def test_a_sub_ulp_grid_is_refused_as_make_partition_refuses_it(self):
+        # The spacing of doubles at 1e16 is 2, so 16 cells of width 0.5 do
+        # not exist: linspace rounds the breakpoints to repeated values.
+        box = Box(((1e16, 1e16 + 8),))
+        message = "axis 0: breakpoints must be strictly increasing"
+        with pytest.raises(DegenerateBox, match=message):
+            make_partition(box, [np.linspace(1e16, 1e16 + 8, 17)])
+        with pytest.raises(DegenerateBox, match=message):
+            make_uniform_partition(box, 16)
+
+    @given(
+        st.floats(-1e300, 1e300, allow_nan=False),
+        st.integers(1, 200),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(1e16, 4, 16)
+    @example(0.0, 3, 8)  # subnormal widths
+    def test_a_narrow_box_is_split_exactly_when_its_linspace_is_a_partition(
+        self, lo, ulps, count
+    ):
+        hi = lo
+        for _ in range(ulps):  # a box a few ulps wide
+            hi = float(np.nextafter(hi, np.inf))
+        box = Box(((lo, hi),))
+        try:
+            expected = make_partition(box, [np.linspace(lo, hi, count + 1)])
+        except DegenerateBox as refused:
+            with pytest.raises(DegenerateBox) as info:
+                make_uniform_partition(box, count)
+            assert str(info.value) == str(refused)
+            return
+        p = make_uniform_partition(box, count)
+        assert np.all(np.diff(p.breakpoints[0]) > 0)
+        np.testing.assert_array_equal(p.breakpoints[0], expected.breakpoints[0])
+
     @given(
         st.integers(1, 9),
         st.integers(1, 9),
@@ -211,6 +252,19 @@ INVALID = {
     "deleted count of a full sum": lambda: SumEstimate(1.0, 2, 0.5, 1, 0.0, "full", 0.0),
     "symdiff of a deleted sum": lambda: SumEstimate(1.0, 2, 0.5, 0, 0.1, "deleted", 0.0),
     "scenario registered twice": lambda: register_scenario(get_scenario("box.sinprod.2d")),
+    # Seeds are non-negative integers wherever a draw is made.
+    "random tag seed None": lambda: make_uniform_partition(UNIT, 8, "random", None),
+    "fractional random tag seed": lambda: make_uniform_partition(UNIT, 8, "random", 1.5),
+    "negative jitter seed": lambda: perturb(make_uniform_partition(UNIT, 4), 0.5, -1),
+    "RandomPick seed None": lambda: select_indices(FixedK(1), RandomPick(None), 4),
+    "RandomPick seed None in a sum": lambda: variant_sum(
+        ScalarField(1, lambda x: x[..., 0]),
+        make_uniform_partition(UNIT, 4),
+        VariantSpec("deleted", selector=RandomPick(None)),
+    ),
+    "spec seed None": lambda: VariantSpec("perturbed", seed=None),
+    "negative spec seed": lambda: VariantSpec(seed=-1),
+    "fractional spec seed": lambda: VariantSpec(seed=1.5),
 }
 
 
@@ -220,6 +274,59 @@ def test_invalid_names_and_labels_raise_typed_errors(case):
         INVALID[case]()
     assert isinstance(info.value, InvalidParameter)
     assert isinstance(info.value, ValueError)
+
+
+# Documented refusals of malformed shapes and counts: (call, error, message).
+REFUSALS = {
+    "breakpoint sequences per axis": (
+        lambda: make_partition(UNIT, [[0.0, 1.0], [0.0, 1.0]]),
+        DegenerateBox, "one breakpoint sequence required per axis",
+    ),
+    "one breakpoint": (
+        lambda: make_partition(UNIT, [[0.0]]),
+        DegenerateBox, "axis 0: need at least two breakpoints",
+    ),
+    "counts per axis": (
+        lambda: make_uniform_partition(UNIT, (2, 2)),
+        DegenerateBox, "one count per axis required",
+    ),
+    "fractional count": (
+        lambda: make_uniform_partition(UNIT, 2.7),
+        DegenerateBox, "counts must be integers, got 2.7",
+    ),
+    "fractional count on one axis": (
+        lambda: make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), (2.7, 3)),
+        DegenerateBox, r"counts must be integers, got \(2.7, 3\)",
+    ),
+    "ragged counts": (
+        lambda: make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), [[1, 2], 3]),
+        DegenerateBox, "counts must be integers",
+    ),
+    "count as a string": (
+        lambda: make_uniform_partition(UNIT, "3"),
+        DegenerateBox, "counts must be integers, got '3'",
+    ),
+    "perturbed cell count": (
+        lambda: apply_perturbation(make_uniform_partition(UNIT, 2), [[0.0, 0.3, 0.6, 1.0]]),
+        DegenerateBox, "perturbed breakpoints must keep the base cell counts",
+    ),
+    "axis swap in 1-D": (
+        lambda: swap_axes_partition(make_uniform_partition(UNIT, 2)),
+        DegenerateBox, "axis swap is defined for 2D partitions",
+    ),
+    "LargestTerm magnitudes": (
+        lambda: select_indices(FixedK(1), LargestTerm(), 4, np.ones(3)),
+        MissingTerms, "expected 4 magnitudes, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_malformed_shapes_and_counts_are_refused(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
+
 
 class TestPerturbation:
     def test_forced_breakpoint_example(self):

@@ -127,6 +127,13 @@ class TestRunSweep:
         assert all(r.deleted_count == 2 for r in rep.rows)
         assert [r.seed for r in rep.rows] == [4, 5, 6]
 
+    def test_seed_defaults_to_the_spec_seed(self):
+        spec = VariantSpec("perturbed", gamma=0.5, seed=7)
+        rep = run_sweep("line.circle.scalar", spec, [8, 16, 32])
+        assert [r.seed for r in rep.rows] == [7, 8, 9]
+        explicit = run_sweep("line.circle.scalar", spec, [8, 16, 32], seed=7)
+        assert render_csv(rep).encode() == render_csv(explicit).encode()
+
     def test_empty_m_list_rejected(self):
         with pytest.raises(NonMonotoneMList):
             run_sweep("box.sinprod.2d", VariantSpec(), [])

@@ -36,7 +36,6 @@ from riemannlab import (
     region_sum,
     variant_sum,
 )
-from riemannlab.quadrature import field_bound
 from riemannlab.scenarios import BALL_REGION, DISK_REGION, SINPROD_2D
 
 UNIT = Box(((0.0, 1.0),))
@@ -251,15 +250,6 @@ class TestBounds:
             pp = perturb(p, float(rng.uniform(0, 0.9)), seed=trial + 1)
             gap = abs(variant_sum(f, p, perturbation=pp).value - variant_sum(f, p).value)
             assert gap <= bound * pp.symdiff_total + 4 * EPS * bound
-
-    def test_estimated_bound_is_flagged(self):
-        p = make_uniform_partition(UNIT, 8)
-        declared = field_bound(X_1D, p)
-        assert declared == (1.0, True)
-        anon = ScalarField(1, lambda x: x[..., 0])
-        m, is_declared = field_bound(anon, p)
-        assert not is_declared
-        assert m == np.max(np.abs(p.tags))
 
 
 class TestVariantSum:
