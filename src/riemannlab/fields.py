@@ -11,12 +11,12 @@ immutable and safe to evaluate from many threads.
 The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
 integrand at a partition's tags with :func:`_rowwise`: in C-order slabs of
 at most ``_SLAB_ROWS`` tags, all of one length but the last, each built
-where it is evaluated, shared by the caller and a pool of one thread per
-further usable CPU, and written into one output array. The pool is made
-when this module is imported, and again in a forked child; its threads
-start on the first sum that hands it a slab. Row-wise results do not
-depend on where a slab starts, so the values do not depend on the slab
-bounds, the thread count or the schedule.
+where it is evaluated, shared by the caller and helper threads that live
+for that one evaluation, and written into one output array. The process
+never runs more helpers than it has usable CPUs besides the caller, and a
+sum that finds every helper slot taken runs its slabs itself. Row-wise
+results do not depend on where a slab starts, so the values do not depend
+on the slab bounds, the thread count or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied. Each
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,34 +129,29 @@ class ParametricRegion:
 
 _SLAB_ROWS = 8192  # rows per slab: the integrand's temporaries stay cache-sized
 
-_worker = threading.local()  # ``inside`` is set in pool threads
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _worker.inside = True
-
-
-def _make_pool() -> None:
-    """Set ``_pool``: one thread per usable CPU besides the caller, or None.
+def _new_slots() -> None:
+    """Set ``_slots``: one helper slot per usable CPU besides the caller's.
 
     It runs at import and again in a forked child, which has none of its
-    parent's pool threads. The executor starts its threads only when a sum
-    first hands it a slab.
+    parent's helper threads, and where a lock that a parent thread held at
+    the fork would stay held.
     """
-    global _pool, _helpers
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    _helpers = cpus - 1
-    _pool = None if _helpers == 0 else ThreadPoolExecutor(
-        _helpers, thread_name_prefix="riemannlab-slab", initializer=_mark_worker
-    )
+    global _slots
+    _slots = threading.BoundedSemaphore(_usable_cpus() - 1)
 
 
-_make_pool()
+_new_slots()
 if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_make_pool)
+    os.register_at_fork(after_in_child=_new_slots)
 
 
 def _rowwise(fn: Callable, p: Partition):
@@ -168,10 +162,13 @@ def _rowwise(fn: Callable, p: Partition):
     caller evaluates the first slab as a float array, which is the result
     when it is the only slab. Otherwise it fixes the trailing shape of the
     float output (a 0-d result is broadcast over the rows), and the caller
-    and the threads of ``_pool`` take the other slabs in order and fill that
-    one preallocated array; a pool thread, and a process with one usable
-    CPU (``_pool`` is None), takes them all itself. The exception of the
-    lowest failing slab propagates as raised.
+    and one ``riemannlab-slab`` thread per slot it takes from ``_slots``
+    take the other slabs in order and fill that one preallocated array.
+    Slots are taken without waiting, at most one per slab beyond the
+    caller's next: a sum that finds none free (one nested in a handle, a
+    concurrent caller's, any sum with one usable CPU) takes every slab
+    itself. Every helper is joined before the result returns, and the
+    exception of the lowest failing slab propagates as raised.
     """
     bounds, rows = p.tag_slabs(_SLAB_ROWS)
     first_stop = bounds[0][1]
@@ -199,15 +196,24 @@ def _rowwise(fn: Callable, p: Partition):
             except Exception as exc:
                 failures[start] = exc
 
-    # A pool thread waits on no pool slot, so nested sums cannot deadlock.
-    pool = None if getattr(_worker, "inside", False) else _pool
-    helpers = [] if pool is None else [
-        pool.submit(drain) for _ in range(min(_helpers, len(bounds) - 2))
-    ]
+    def help_drain() -> None:
+        try:
+            drain()
+        finally:
+            _slots.release()
+
+    helpers = []
+    while len(helpers) < len(bounds) - 2 and _slots.acquire(blocking=False):
+        helper = threading.Thread(target=help_drain, name="riemannlab-slab")
+        try:
+            helper.start()
+        except RuntimeError:  # no thread can be started now: drain alone
+            _slots.release()
+            break
+        helpers.append(helper)
     drain()
     for helper in helpers:
-        if not helper.cancel():  # it started, and may still be filling a slab
-            helper.result()
+        helper.join()
     if failures:
         raise failures[min(failures)]
     return out

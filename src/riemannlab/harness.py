@@ -76,14 +76,18 @@ def evaluate_scenario(
     ``m_axis`` is cells per axis of the interior/parameter partition.
     ``boundary_m`` is cells per boundary curve (1D boundaries) or per axis
     of each boundary patch (2D boundaries); it defaults to the scenario's
-    ``boundary_factor * m_axis``. Scenarios that are not theorem checks have
-    no boundary, and refuse a ``boundary_m``.
+    ``boundary_factor * m_axis``. ``boundary_spec`` is the boundary side's
+    variant; it defaults to ``spec`` with seed ``spec.seed +
+    BOUNDARY_SEED_SHIFT``. Scenarios that are not theorem checks have no
+    boundary, and refuse a ``boundary_m`` or a ``boundary_spec``.
     """
-    if boundary_m is not None and sc.kind not in THEOREM_KINDS:
-        raise RiemannLabError(
-            f"{sc.name} is a {sc.kind} scenario with no boundary; boundary_m "
-            f"applies only to {', '.join(THEOREM_KINDS)} scenarios"
-        )
+    if sc.kind not in THEOREM_KINDS:
+        for name, given in (("boundary_m", boundary_m), ("boundary_spec", boundary_spec)):
+            if given is not None:
+                raise RiemannLabError(
+                    f"{sc.name} is a {sc.kind} scenario with no boundary; {name} "
+                    f"applies only to {', '.join(THEOREM_KINDS)} scenarios"
+                )
     box = sc.box if sc.region is None else sc.region.param_box
     if box is None:
         box = parameter_box(sc.surface if sc.surface is not None else sc.path)
@@ -158,6 +162,8 @@ def run_sweep(
     ``m_list`` must be strictly increasing with at least 3 entries. Row i
     runs with seed ``seed + i``, and ``seed`` defaults to ``spec.seed``; a
     fixed ``boundary_m`` (otherwise scaled from each m) applies to every row.
+    A given ``boundary_spec`` runs row i with seed
+    ``seed + i + BOUNDARY_SEED_SHIFT``.
     """
     sc = get_scenario(scenario)
     if seed is None:
@@ -171,7 +177,9 @@ def run_sweep(
     for i, m_axis in enumerate(m_list):
         row_seed = seed + i
         row_spec = spec.with_seed(row_seed)
-        row_bspec = (boundary_spec or row_spec).with_seed(row_seed + BOUNDARY_SEED_SHIFT)
+        row_bspec = None if boundary_spec is None else boundary_spec.with_seed(
+            row_seed + BOUNDARY_SEED_SHIFT
+        )
         result = evaluate_scenario(
             sc, m_axis, row_spec, boundary_m, row_bspec, tag_rule
         )

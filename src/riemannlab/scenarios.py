@@ -115,10 +115,6 @@ _SPHERE_BOX = Box(((0.0, math.pi), (0.0, TWO_PI)))
 _HEMISPHERE_BOX = Box(((0.0, math.pi / 2.0), (0.0, TWO_PI)))
 
 
-def _zeros(p):
-    return np.zeros(p.shape[:-1])
-
-
 def _ones(p):
     return np.ones(p.shape[:-1])
 
@@ -296,7 +292,6 @@ ROTATION_2D = VectorField(
     dim_in=2,
     dim_out=2,
     fn=lambda p: np.stack([-p[..., 1], p[..., 0]], axis=-1),
-    div=_zeros,
     curl=lambda p: 2.0 * np.ones(p.shape[:-1]),  # dQ/dx - dP/dy
 )
 
@@ -306,7 +301,6 @@ ROTATION_3D = VectorField(
     fn=lambda p: np.stack(
         [-p[..., 1], p[..., 0], np.zeros(p.shape[:-1])], axis=-1
     ),
-    div=_zeros,
     curl=lambda p: np.stack(
         [np.zeros(p.shape[:-1]), np.zeros(p.shape[:-1]), 2.0 * np.ones(p.shape[:-1])],
         axis=-1,

@@ -22,14 +22,14 @@ import numpy as np
 
 # Below this many terms math.fsum is faster than another extraction pass.
 _FSUM_FLOOR = 1024
-# Terms per slab of the plain ascending sum behind the residual (512 KiB).
-_CUMSUM_SLAB = 2**16
 
 
 def neumaier_sum(values) -> tuple[float, float]:
     """``(total, residual)``: ``math.fsum`` of ``values``, and ``total`` minus
-    the plain float sum in ascending order. A sum that overflows or meets
-    ``inf - inf`` returns that plain sum, which is not finite, and 0.0.
+    the plain float sum in ascending order, the last entry of ``np.cumsum``,
+    which adds one term at a time in index order (``np.sum`` adds pairwise).
+    A sum that overflows or meets ``inf - inf`` returns that plain sum,
+    which is not finite, and 0.0.
     """
     x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
@@ -58,23 +58,6 @@ def neumaier_sum(values) -> tuple[float, float]:
         total = math.fsum(parts + y.tolist())
     except (OverflowError, ValueError):  # the exact sum overflows, or inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
-            return _ascending_sum(x), 0.0
-    return total, total - _ascending_sum(x)
+            return float(np.cumsum(x)[-1]), 0.0
+    return total, total - float(np.cumsum(x)[-1])
 
-
-def _ascending_sum(x: np.ndarray) -> float:
-    """``np.cumsum(x)[-1]`` for a nonempty 1-D ``x``, in one small buffer.
-
-    cumsum adds one value at a time in index order on every machine. Each
-    later slab's copy gets the running total added to its first element, so
-    its cumsum continues the one over the whole array with the same roundings.
-    """
-    total = np.cumsum(x[:_CUMSUM_SLAB])[-1]
-    if x.size > _CUMSUM_SLAB:
-        buf = np.empty(_CUMSUM_SLAB)
-        for start in range(_CUMSUM_SLAB, x.size, _CUMSUM_SLAB):
-            slab = buf[: min(_CUMSUM_SLAB, x.size - start)]
-            slab[...] = x[start : start + slab.size]
-            slab[0] += total
-            total = np.cumsum(slab, out=slab)[-1]
-    return float(total)

@@ -11,6 +11,7 @@ from riemannlab import (
     NonMonotoneMList,
     Prefix,
     RandomPick,
+    RiemannLabError,
     UnknownScenario,
     VariantSpec,
     emit_csv,
@@ -222,6 +223,14 @@ class TestEvaluateScenario:
         sc = get_scenario("green.disk.rotation")
         rep = evaluate_scenario(sc, 32, boundary_m=100)
         assert rep.rhs.m == 100
+
+    def test_a_scenario_without_a_boundary_refuses_a_boundary_spec(self):
+        bspec = VariantSpec("deleted", FixedK(2))
+        for name in ("box.sinprod.2d", "line.circle.scalar", "surface.sphere.area"):
+            with pytest.raises(RiemannLabError, match="boundary_spec applies only"):
+                evaluate_scenario(get_scenario(name), 8, boundary_spec=bspec)
+        with pytest.raises(RiemannLabError, match="boundary_spec applies only"):
+            run_sweep("box.sinprod.2d", VariantSpec(), [8, 16, 32], boundary_spec=bspec)
 
     def test_deterministic_reruns(self):
         sc = get_scenario("gauss.ball.identity")

@@ -3,10 +3,14 @@
 This covers the package, the tests and the demos. An import whose bound
 name appears nowhere else in its module fails this test, unless its line
 carries ``# noqa: F401`` (a binding kept for other code to find, such as the
-benchmark's tracing wrappers).
+benchmark's tracing wrappers). Importing the package starts no thread and
+loads no thread pool or logging machinery.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,18 @@ def test_guard_finds_an_unused_import():
 )
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_package_loads_no_pool_and_starts_no_thread():
+    probe = (
+        "import sys, threading\n"
+        "import riemannlab, riemannlab.cli\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)),"
+        " threading.active_count())\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    ).stdout
+    assert out == "[] 1\n"

@@ -1,7 +1,7 @@
 """Slab-parallel integrand evaluation gives the bits of one whole-array call.
 
 ``fields._rowwise`` splits a partition's cells into slabs of at most
-``_SLAB_ROWS`` tags and fills one output from a thread pool; a partition's
+``_SLAB_ROWS`` tags and fills one output with helper threads; a partition's
 grid tags are built slab by slab. The reference is one call on the whole
 tag array, ``p.tags``; setting ``_SLAB_ROWS`` to infinity makes every
 evaluation one call, which the slabbed results must match bit for bit.
@@ -11,9 +11,9 @@ checks with their finite differences taken one offset at a time.
 
 import math
 import multiprocessing
-import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,7 +37,7 @@ from riemannlab import (
     stokes_check,
     variant_sum,
 )
-from riemannlab.fields import _SLAB_ROWS, _rowwise
+from riemannlab.fields import _SLAB_ROWS, _rowwise, _usable_cpus
 from riemannlab.scenarios import (
     BALL_REGION,
     CIRCLE_2D,
@@ -148,7 +148,7 @@ def test_a_full_sum_holds_three_cell_arrays_at_its_peak():
     finally:
         tracemalloc.stop()
     slab_bytes = 8 * 8 * _SLAB_ROWS  # a slab's tags, its values and temporaries
-    assert peak < 3 * 8 * p.m + 2**20 + _cpus() * slab_bytes
+    assert peak < 3 * 8 * p.m + 2**20 + _usable_cpus() * slab_bytes
 
 
 @pytest.mark.parametrize(
@@ -175,7 +175,7 @@ def test_a_deleted_sum_holds_no_more_than_a_full_sum(spec):
     finally:
         tracemalloc.stop()
     slab_bytes = 8 * 8 * _SLAB_ROWS
-    assert peak < 3 * 8 * p.m + 2**20 + _cpus() * slab_bytes
+    assert peak < 3 * 8 * p.m + 2**20 + _usable_cpus() * slab_bytes
 
 
 class SlabFailure(Exception):
@@ -197,30 +197,53 @@ def test_lowest_failing_slab_propagates_as_raised(first_bad):
         _rowwise(fn, p)
 
 
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _helpers_at_work(*fns):
+    """``fns`` wrapped, and a list whose one entry becomes the most
+    ``riemannlab-slab`` threads seen inside any of them at once. A wrapped
+    call sleeps 1 ms, so helpers that run at the same time overlap there."""
+    lock = threading.Lock()
+    depth = {}  # helper thread -> how many wrapped calls it is inside
+    most = [0]
+
+    def wrap(fn):
+        def counted(q):
+            me = threading.current_thread()
+            if me.name != "riemannlab-slab":
+                return fn(q)
+            with lock:
+                depth[me] = depth.get(me, 0) + 1
+                most[0] = max(most[0], len(depth))
+            try:
+                time.sleep(1e-3)
+                return fn(q)
+            finally:
+                with lock:
+                    depth[me] -= 1
+                    if not depth[me]:
+                        del depth[me]
+
+        return counted
+
+    return [wrap(fn) for fn in fns], most
 
 
-def test_concurrent_callers_share_the_one_import_time_pool(monkeypatch):
-    made = []
+def _free_slots() -> int:
+    taken = 0
+    while taken < _usable_cpus() and fields._slots.acquire(blocking=False):
+        taken += 1
+    for _ in range(taken):
+        fields._slots.release()
+    return taken
 
-    class CountingPool(fields.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
 
-    monkeypatch.setattr(fields, "ThreadPoolExecutor", CountingPool)
-    pool = fields._pool
-    assert (pool is not None) == (_cpus() > 1)
+def test_concurrent_callers_never_run_more_helpers_than_spare_cpus():
+    (counted,), most = _helpers_at_work(_scalar)
     inputs = [_random_tags(3 * _SLAB_ROWS + i, 2, seed=i)
-              for i in range(2 * _cpus() + 2)]  # more callers than cores
+              for i in range(2 * _usable_cpus() + 2)]  # more callers than cores
     results = [None] * len(inputs)
 
     def call(i):
-        results[i] = _rowwise(_scalar, inputs[i])
+        results[i] = _rowwise(counted, inputs[i])
 
     callers = [
         threading.Thread(target=call, args=(i,), daemon=True) for i in range(len(inputs))
@@ -234,69 +257,87 @@ def test_concurrent_callers_share_the_one_import_time_pool(monkeypatch):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for extra in made:
-            extra.shutdown()
     assert not any(t.is_alive() for t in callers)
-    assert made == [] and fields._pool is pool, "a sum made a pool of its own"
+    assert most[0] <= _usable_cpus() - 1
     for p, got in zip(inputs, results):
         assert got.tobytes() == _scalar(p.tags).tobytes()
+    assert _free_slots() == _usable_cpus() - 1
 
 
-def test_a_handle_that_sums_in_a_pool_thread_returns():
-    inner_p = make_uniform_partition(Box(((0.0, 1.0),)), _SLAB_ROWS + 1)
-    inner_f = ScalarField(1, lambda t: np.cos(t[..., 0]))
+def test_a_handle_that_sums_in_a_helper_thread_returns():
+    inner_p = make_uniform_partition(Box(((0.0, 1.0),)), 3 * _SLAB_ROWS + 1)  # 4 slabs
 
     def handle(p):  # every outer slab runs a slabbed sum of its own
         return p[..., 0] * variant_sum(inner_f, inner_p).value
 
-    # More outer slabs than pool threads, so every pool thread nests.
-    outer = make_uniform_partition(Box(((0.0, 1.0),)), (_cpus() + 2) * _SLAB_ROWS)
+    (inner_fn, outer_fn), most = _helpers_at_work(lambda t: np.cos(t[..., 0]), handle)
+    inner_f = ScalarField(1, inner_fn)
+    # More outer slabs than spare CPUs, so every helper nests.
+    outer = make_uniform_partition(Box(((0.0, 1.0),)), (_usable_cpus() + 2) * _SLAB_ROWS)
     result = []
     runner = threading.Thread(
-        target=lambda: result.append(variant_sum(ScalarField(1, handle), outer)),
+        target=lambda: result.append(variant_sum(ScalarField(1, outer_fn), outer)),
         daemon=True,
     )
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive(), "nested slab evaluation deadlocked"
+    assert most[0] <= _usable_cpus() - 1
     inner = variant_sum(inner_f, inner_p).value
     expected = math.fsum((outer.tags[:, 0] * inner * outer.measures).tolist())
     assert result[0].value == expected
 
 
+def test_no_helper_thread_outlives_its_sum(monkeypatch):
+    f = ScalarField(2, _scalar)
+    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
+    value = variant_sum(f, p).value
+    assert not [t for t in threading.enumerate() if t.name.startswith("riemannlab-slab")]
+    assert _free_slots() == _usable_cpus() - 1
+
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
+
+    # A helper that cannot start gives its slot back, and the caller drains alone.
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert variant_sum(f, p).value == value
+    assert _free_slots() == _usable_cpus() - 1
+
+
 def _send_child_sum(conn, f, p):
-    pool = fields._pool
     value = variant_sum(f, p).value.hex()
-    conn.send((id(pool), fields._pool is pool, value))
+    conn.send((_free_slots(), value))
     conn.close()
 
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_makes_its_own_pool_and_sums_the_same():
+def test_a_forked_child_sums_the_same_with_every_slot_free():
     f = ScalarField(2, _scalar)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
-    value = variant_sum(f, p).value.hex()  # the parent's pool threads are running
-    assert (fields._pool is not None) == (_cpus() > 1)
+    value = variant_sum(f, p).value.hex()
+    held = _usable_cpus() - 1  # every slot is taken while the process forks
+    for _ in range(held):
+        assert fields._slots.acquire(blocking=False)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_child_sum, args=(send, f, p), daemon=True)
-    child.start()
+    try:
+        child = ctx.Process(target=_send_child_sum, args=(send, f, p), daemon=True)
+        child.start()
+    finally:
+        for _ in range(held):
+            fields._slots.release()
     send.close()
     try:
         assert receive.poll(60), "the forked child sent nothing within 60 s"
-        child_pool, kept, child_value = receive.recv()
+        child_slots, child_value = receive.recv()
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
-    # The child's pool is made at the fork, while the inherited one is still
-    # referenced, so a new pool has a new id; with one CPU both are None.
-    assert (child_pool != id(fields._pool)) == (_cpus() > 1)
-    assert kept, "the forked child made a pool in its sum"
+    assert child_slots == _usable_cpus() - 1, "the child kept the parent's taken slots"
     assert child_value == value
 
 
