@@ -206,3 +206,67 @@ class TestNegativeZeroFill:
             got, want = neumaier_sum(filled), neumaier_sum(x[keep])
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
+
+
+def index_order_sum(x: np.ndarray) -> float:
+    """The plain float sum of a nonempty ``x``, one term at a time in index
+    order, in Python floats (they overflow to inf and give nan for inf - inf
+    without raising)."""
+    values = x.tolist()
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total
+
+
+class TestAscendingSum:
+    """The residual is the total minus the plain sum in index order; when the
+    exact sum overflows or meets ``inf - inf``, that plain sum is returned
+    with a 0.0 residual. The bits are checked against a Python loop."""
+
+    @staticmethod
+    def assert_residual_is_over_index_order_sum(x):
+        plain = index_order_sum(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, residual = neumaier_sum(x)
+        try:
+            exact = math.fsum(x.tolist())
+        except (OverflowError, ValueError):
+            assert (total.hex(), residual.hex()) == (plain.hex(), (0.0).hex())
+        else:
+            assert total.hex() == exact.hex()
+            assert residual.hex() == (total - plain).hex()
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 3 * _FSUM_FLOOR),
+            elements=st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+        )
+    )
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_drawn_arrays_residual_is_over_the_index_order_sum(self, x):
+        self.assert_residual_is_over_index_order_sum(x)
+
+    @pytest.mark.parametrize(
+        "n", [1, _FSUM_FLOOR, _FSUM_FLOOR + 1, 2**16 + 1, 3 * 2**16 + 5]
+    )
+    def test_wide_range_residual_is_over_the_index_order_sum(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * np.exp2(rng.uniform(-60, 60, n))
+        self.assert_residual_is_over_index_order_sum(x)
+
+    @pytest.mark.parametrize(
+        "before, special",
+        [(-0.0, -0.0), (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan), (1e304, 1e308)],
+        ids=["-0.0", "inf", "-inf", "nan", "overflow"],
+    )
+    def test_special_values_in_a_long_sum_keep_the_index_order_sum(self, before, special):
+        x = np.full(2 * 2**16 + 3, before)
+        x[2**16] = special
+        self.assert_residual_is_over_index_order_sum(x)
