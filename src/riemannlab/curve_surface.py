@@ -3,15 +3,15 @@
 Scalar line sums weight f(x(t*)) by ||x'(t*)|| dt, vector line sums dot F
 with x'(t*) dt; surface sums use the normal N = X_u x X_v of a parametrized
 surface, weighting by ||N|| dD (scalar) or N dD (vector). This module only
-builds those integrands, as row-wise callables of a slab of parameter tags;
-the kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates them at the
-tags and owns the cell measures, the four variants (full, deleted,
-perturbed, combined) and the reduction. :func:`line_sum` and
-:func:`surface_sum` are the entry points, scalar or vector by field type;
-:func:`line_dots` and :func:`surface_dots` are the vector integrands the
-theorem boundaries sum. Partitions always live on the parameter domain
-(:func:`parameter_box`), never on the embedded curve or surface; each
-integrand refuses a partition that does not cover it.
+builds those integrands, all with one rule, :func:`pull_back`: a row-wise
+callable of a slab of parameter tags. The kernel,
+:func:`riemannlab.quadrature.pieces_sum`, evaluates them at the tags and
+owns the cell measures, the four variants (full, deleted, perturbed,
+combined) and the reduction. :func:`line_sum` and :func:`surface_sum` are
+the entry points, scalar or vector by field type; the theorem boundaries
+call :func:`pull_back` directly. Partitions always live on the parameter
+domain (:func:`parameter_box`), never on the embedded curve or surface;
+:func:`pull_back` refuses a partition that does not cover it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fields import ParametricSurface, Path, ScalarField, VectorField
+from .fields import ParametricSurface, Path, VectorField
 from .geometry import Box, DeletionPlan, Partition, PerturbedPartition
 from .quadrature import FULL, SumEstimate, VariantSpec, pieces_sum
 
@@ -29,62 +29,36 @@ def parameter_box(piece: Path | ParametricSurface) -> Box:
     return Box((piece.domain,)) if isinstance(piece, Path) else piece.domain
 
 
-def _check(piece: Path | ParametricSurface, partition: Partition, field_dim: int):
-    """Refuse a partition or field not fitting ``piece``."""
-    kind = "path" if isinstance(piece, Path) else "surface"
+def pull_back(field, piece: Path | ParametricSurface, partition: Partition):
+    """Row-wise integrand of ``field`` on ``piece`` at a slab of parameter tags.
+
+    The tangent is x' on a path and N on a surface: a vector field gives
+    F(x) . tangent, a scalar one f(x) ||tangent|| (and on a surface the ||N||
+    column ``degenerate`` reads). No widths are applied. Refuses a partition
+    not covering :func:`parameter_box` and a field dim that is not the codomain.
+    """
+    path = isinstance(piece, Path)
+    kind = "path" if path else "surface"
     if partition.parent.axes != parameter_box(piece).axes:
         raise DimensionMismatch(f"partition must cover the {kind} domain")
-    codim = piece.codim if kind == "path" else 3
-    if field_dim != codim:
-        raise DimensionMismatch(f"field dim {field_dim} != {kind} codomain {codim}")
+    codim = piece.codim if path else 3
+    vector = isinstance(field, VectorField)
+    dim = field.dim_in if vector else field.dim
+    if dim != codim:
+        raise DimensionMismatch(f"field dim {dim} != {kind} codomain {codim}")
+    if vector and field.dim_out != codim:
+        raise DimensionMismatch(f"output dim {field.dim_out} != {kind} codomain {codim}")
 
-
-def _scalar_line_integrand(f: ScalarField, path: Path, partition: Partition):
-    """Row-wise f(x(t*_k)) ||x'(t*_k)|| of a slab of tags (no widths applied)."""
-    _check(path, partition, f.dim)
-
-    def integrand(tags):
-        t = tags[:, 0]
-        values = np.asarray(f(path.pos(t)), dtype=float)
-        speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
-        return values * speed
-
-    return integrand
-
-
-def line_dots(F: VectorField, path: Path, partition: Partition):
-    """Row-wise F(x(t*_k)) . x'(t*_k) of a slab of tags (no widths applied)."""
-    _check(path, partition, F.dim_in)
+    def tangent(x):
+        return np.asarray(piece.vel(x), float) if path else piece.normal(x)
 
     def integrand(tags):
-        t = tags[:, 0]
-        return np.sum(
-            np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
-        )
-
-    return integrand
-
-
-def _scalar_surface_integrand(
-    f: ScalarField, surface: ParametricSurface, partition: Partition
-):
-    """Row-wise columns f(X(xi_k)) ||N(xi_k)|| and ||N(xi_k)|| of a slab of tags."""
-    _check(surface, partition, f.dim)
-
-    def integrand(xi):
-        norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
-        values = np.asarray(f(surface.pos(xi)), dtype=float)
-        return np.stack([values * norms, norms], axis=-1)
-
-    return integrand
-
-
-def surface_dots(F: VectorField, surface: ParametricSurface, partition: Partition):
-    """Row-wise F(X(xi_k)) . N(xi_k) of a slab of tags (no widths applied)."""
-    _check(surface, partition, F.dim_in)
-
-    def integrand(xi):
-        return np.sum(np.asarray(F(surface.pos(xi)), float) * surface.normal(xi), axis=-1)
+        x = tags[:, 0] if path else tags
+        if vector:
+            return np.sum(np.asarray(field(piece.pos(x)), float) * tangent(x), axis=-1)
+        norms = np.sqrt(np.sum(tangent(x) ** 2, axis=-1))
+        values = np.asarray(field(piece.pos(x)), float) * norms
+        return values if path else np.stack([values, norms], axis=-1)
 
     return integrand
 
@@ -103,9 +77,8 @@ def line_sum(
     ``perturbation`` (built from ``partition``) wins over what ``spec``
     would resolve; see :func:`riemannlab.quadrature.pieces_sum`.
     """
-    integrand = line_dots if isinstance(field, VectorField) else _scalar_line_integrand
     return pieces_sum(
-        [integrand(field, path, partition)], [partition], spec, plan, perturbation
+        [pull_back(field, path, partition)], [partition], spec, plan, perturbation
     )
 
 
@@ -124,9 +97,7 @@ def surface_sum(
     it keeps a cell whose tag has a vanishing normal; a vector one does not
     check.
     """
-    vector = isinstance(field, VectorField)
-    integrand = surface_dots if vector else _scalar_surface_integrand
     return pieces_sum(
-        [integrand(field, surface, partition)], [partition], spec, plan, perturbation,
-        degenerate=not vector,
+        [pull_back(field, surface, partition)], [partition], spec, plan, perturbation,
+        degenerate=not isinstance(field, VectorField),
     )

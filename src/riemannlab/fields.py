@@ -265,6 +265,8 @@ def gradient(f: ScalarField, x) -> np.ndarray:
 
 def divergence(F: VectorField, x):
     """Sum of the diagonal partials of F at x."""
+    if F.dim_out != F.dim_in:
+        raise DimensionMismatch("divergence requires a square vector field")
     x = np.asarray(x, dtype=float)
     if F.div is not None:
         return np.asarray(F.div(x), dtype=float)

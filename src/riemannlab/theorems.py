@@ -6,8 +6,8 @@ deletion index sets and jitters per side) and reports both values plus
 their gap. The three checks share one boundary path, :func:`_two_sided`.
 It checks once that the boundary's curves or surfaces have one partition
 each, and sums the probe field and F over them alike: each piece's
-integrand (``line_dots`` or ``surface_dots``, which check that the
-partition covers the piece) goes to the variant kernel,
+integrand (:func:`riemannlab.curve_surface.pull_back`, which checks that
+the partition covers the piece) goes to the variant kernel,
 :func:`riemannlab.quadrature.pieces_sum`, in one call, so the pieces share
 one index space for deletion and a perturbation jitters piece i with seed
 ``spec.seed + i``. The orientation rule: the probe's boundary side must
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_surface import line_dots, surface_dots, surface_sum
+from .curve_surface import pull_back, surface_sum
 from .errors import DimensionMismatch, NonFiniteSum, OrientationCheckFailed
 from .fields import (
     ParametricRegion,
@@ -114,10 +114,7 @@ def _two_sided(
         raise DimensionMismatch("one boundary partition per boundary piece required")
 
     def boundary_sum(G, spec) -> SumEstimate:
-        integrands = [
-            (line_dots if isinstance(piece, Path) else surface_dots)(G, piece, part)
-            for piece, part in zip(pieces, partitions)
-        ]
+        integrands = [pull_back(G, p, part) for p, part in zip(pieces, partitions)]
         return pieces_sum(integrands, partitions, spec)
 
     probe, hint = _PROBES[theorem]
@@ -152,7 +149,7 @@ def green_check(
     rhs: circulation of F over the boundary curves under ``boundary_spec``
     (its own deletion index set and jitter, independent of the lhs).
     """
-    if F.dim_in != 2 or region.dim != 2:
+    if F.dim_in != 2 or F.dim_out != 2 or region.dim != 2:
         raise DimensionMismatch("green_check needs a 2D field and region")
     integrand = ScalarField(2, fn=lambda xy: plane_curl(F, xy))
     return _two_sided(
@@ -171,7 +168,7 @@ def gauss_check(
     reference: float | None = None,
 ) -> TheoremReport:
     """Compare both sides of the divergence theorem on a 3D solid."""
-    if F.dim_in != 3 or solid.dim != 3:
+    if F.dim_in != 3 or F.dim_out != 3 or solid.dim != 3:
         raise DimensionMismatch("gauss_check needs a 3D field and solid")
     integrand = ScalarField(3, fn=lambda x: divergence(F, x))
     return _two_sided(
@@ -196,7 +193,7 @@ def stokes_check(
     reference: float | None = None,
 ) -> TheoremReport:
     """Compare both sides of Stokes' theorem on a parametrized surface."""
-    if F.dim_in != 3:
+    if F.dim_in != 3 or F.dim_out != 3:
         raise DimensionMismatch("stokes_check needs a 3D field")
     probe_flux = _curl_flux(_DISK_PROBE, surface, surface_partition, FULL).value
     return _two_sided(

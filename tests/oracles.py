@@ -7,9 +7,10 @@ share no code path with the vectorized implementations they check. Fields
 used with these oracles should be polynomial (arithmetic only), keeping
 scalar and vectorized evaluation bit-identical. The agreement checks
 compare analytic derivative handles with finite differences of the
-handles they differentiate. Two earlier library forms are kept as
-references for the forms that replaced them: the region pull-back as a
-field of its own, and the Stokes probe's curl as a stored field.
+handles they differentiate. Earlier library forms are kept as references
+for the forms that replaced them: the region pull-back as a field of its
+own, the four line and surface integrand builders, and the Stokes probe's
+curl as a stored field.
 """
 
 from __future__ import annotations
@@ -348,6 +349,68 @@ def region_integrand(f: ScalarField, region: ParametricRegion) -> ScalarField:
         fn=lambda params: np.asarray(f(region.mapping(params)), dtype=float)
         * np.asarray(region.jac_det(params), dtype=float),
     )
+
+
+# The four line and surface integrand builders that ``curve_surface.pull_back``
+# replaced, each with the partition and input-dim check they shared.
+
+
+def _check_piece(piece, partition, field_dim: int):
+    kind = "path" if isinstance(piece, Path) else "surface"
+    domain = Box((piece.domain,)) if kind == "path" else piece.domain
+    if partition.parent.axes != domain.axes:
+        raise DimensionMismatch(f"partition must cover the {kind} domain")
+    codim = piece.codim if kind == "path" else 3
+    if field_dim != codim:
+        raise DimensionMismatch(f"field dim {field_dim} != {kind} codomain {codim}")
+
+
+def scalar_line_integrand(f: ScalarField, path: Path, partition):
+    """Row-wise f(x(t*_k)) ||x'(t*_k)|| of a slab of tags (no widths applied)."""
+    _check_piece(path, partition, f.dim)
+
+    def integrand(tags):
+        t = tags[:, 0]
+        values = np.asarray(f(path.pos(t)), dtype=float)
+        speed = np.sqrt(np.sum(np.asarray(path.vel(t), float) ** 2, axis=-1))
+        return values * speed
+
+    return integrand
+
+
+def line_dots(F: VectorField, path: Path, partition):
+    """Row-wise F(x(t*_k)) . x'(t*_k) of a slab of tags (no widths applied)."""
+    _check_piece(path, partition, F.dim_in)
+
+    def integrand(tags):
+        t = tags[:, 0]
+        return np.sum(
+            np.asarray(F(path.pos(t)), float) * np.asarray(path.vel(t), float), axis=-1
+        )
+
+    return integrand
+
+
+def scalar_surface_integrand(f: ScalarField, surface: ParametricSurface, partition):
+    """Row-wise columns f(X(xi_k)) ||N(xi_k)|| and ||N(xi_k)|| of a slab of tags."""
+    _check_piece(surface, partition, f.dim)
+
+    def integrand(xi):
+        norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
+        values = np.asarray(f(surface.pos(xi)), dtype=float)
+        return np.stack([values * norms, norms], axis=-1)
+
+    return integrand
+
+
+def surface_dots(F: VectorField, surface: ParametricSurface, partition):
+    """Row-wise F(X(xi_k)) . N(xi_k) of a slab of tags (no widths applied)."""
+    _check_piece(surface, partition, F.dim_in)
+
+    def integrand(xi):
+        return np.sum(np.asarray(F(surface.pos(xi)), float) * surface.normal(xi), axis=-1)
+
+    return integrand
 
 
 # The Stokes orientation probe's curl, (0, 0, 1) everywhere, as a field.

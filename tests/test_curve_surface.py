@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from oracles import (
+    line_dots,
     naive_line_terms,
     naive_magnitude,
     naive_surface_terms,
     naive_total,
+    scalar_line_integrand,
+    scalar_surface_integrand,
+    surface_dots,
 )
 from riemannlab import (
     Box,
@@ -30,10 +35,15 @@ from riemannlab import (
     surface_sum,
     swap_surface,
 )
-from riemannlab.curve_surface import line_dots, surface_dots
+from riemannlab.curve_surface import parameter_box, pull_back
+from riemannlab.fields import _rowwise
+from riemannlab.geometry import TAG_RULES
 from riemannlab.scenarios import (
     CIRCLE_2D,
+    CIRCLE_3D,
+    CUBE_FACES,
     DISK_PATCH,
+    HEMISPHERE,
     ROTATION_2D,
     SPHERE,
     TWO_PI,
@@ -187,8 +197,8 @@ class TestOrientation:
         p = circle_partition(m, tag_rule="random", seed=5)
         rev_path = reverse_path(CIRCLE_2D)
         rev_p = reflect_partition(p)
-        fwd = line_dots(ROTATION_2D, CIRCLE_2D, p)(p.tags) * p.measures
-        bwd = line_dots(ROTATION_2D, rev_path, rev_p)(rev_p.tags) * rev_p.measures
+        fwd = pull_back(ROTATION_2D, CIRCLE_2D, p)(p.tags) * p.measures
+        bwd = pull_back(ROTATION_2D, rev_path, rev_p)(rev_p.tags) * rev_p.measures
         np.testing.assert_array_equal(bwd, -fwd[::-1])
         sf = line_sum(ROTATION_2D, CIRCLE_2D, p)
         sb = line_sum(ROTATION_2D, rev_path, rev_p)
@@ -202,12 +212,79 @@ class TestOrientation:
         p = make_uniform_partition(SPHERE.domain, (6, 9), tag_rule="random", seed=3)
         swapped = swap_surface(SPHERE)
         sw_p = swap_axes_partition(p)
-        fwd = surface_dots(IDENTITY_3D, SPHERE, p)(p.tags) * p.measures
-        bwd = surface_dots(IDENTITY_3D, swapped, sw_p)(sw_p.tags) * sw_p.measures
+        fwd = pull_back(IDENTITY_3D, SPHERE, p)(p.tags) * p.measures
+        bwd = pull_back(IDENTITY_3D, swapped, sw_p)(sw_p.tags) * sw_p.measures
         np.testing.assert_array_equal(bwd, -fwd.reshape(6, 9).T.ravel())
         sf = surface_sum(IDENTITY_3D, SPHERE, p)
         sb = surface_sum(IDENTITY_3D, swapped, sw_p)
         assert abs(sb.value + sf.value) <= 4 * EPS * float(np.sum(np.abs(fwd)))
+
+
+# Every registered path and surface, by name.
+PIECES = {
+    "CIRCLE_2D": CIRCLE_2D,
+    "CIRCLE_3D": CIRCLE_3D,
+    "SPHERE": SPHERE,
+    "HEMISPHERE": HEMISPHERE,
+    "DISK_PATCH": DISK_PATCH,
+    **{f"CUBE_FACES[{i}]": face for i, face in enumerate(CUBE_FACES)},
+}
+
+
+def _wavy_scalar(n):
+    return ScalarField(
+        n, lambda p: np.cos(p[..., 0]) * np.exp(0.5 * p[..., -1]) + p[..., 1] ** 2
+    )
+
+
+def _wavy_vector(n):
+    return VectorField(
+        n,
+        n,
+        lambda p: np.stack(
+            [np.sin(p[..., (k + 1) % n]) * p[..., k] for k in range(n)], axis=-1
+        ),
+    )
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("name", list(PIECES))
+    def test_bits_equal_the_four_earlier_builders(self, name):
+        piece = PIECES[name]
+        path = isinstance(piece, Path)
+        n = piece.codim if path else 3
+        flipped = reverse_path(piece) if path else swap_surface(piece)
+        builders = (
+            (scalar_line_integrand, line_dots)
+            if path
+            else (scalar_surface_integrand, surface_dots)
+        )
+        fields = (_wavy_scalar(n), _wavy_vector(n))
+        # One slab, and more rows than one slab holds (8192).
+        sizes = (64, 9000) if path else ((8, 12), (96, 96))
+        for pc, rule, m in itertools.product((piece, flipped), TAG_RULES, sizes):
+            p = make_uniform_partition(parameter_box(pc), m, tag_rule=rule, seed=7)
+            for field, build in zip(fields, builders):
+                want = build(field, pc, p)(p.tags)
+                integrand = pull_back(field, pc, p)
+                for got in (integrand(p.tags), _rowwise(integrand, p)):
+                    case = (name, pc is flipped, rule, m, build.__name__)
+                    assert got.shape == want.shape, case
+                    assert got.tobytes() == want.tobytes(), case
+
+    @pytest.mark.parametrize(
+        "sum_, piece, dims",
+        [(line_sum, CIRCLE_2D, (2, 1)), (line_sum, CIRCLE_2D, (2, 3)),
+         (surface_sum, SPHERE, (3, 1)), (surface_sum, SPHERE, (3, 2))],
+        ids=["line-2-to-1", "line-2-to-3", "surface-3-to-1", "surface-3-to-2"],
+    )
+    def test_a_vector_field_of_another_output_dim_is_refused(self, sum_, piece, dims):
+        def unevaluated(p):
+            raise AssertionError("evaluated before the field's dims were checked")
+
+        p = make_uniform_partition(parameter_box(piece), 8 if sum_ is line_sum else 4)
+        with pytest.raises(DimensionMismatch, match=f"output dim {dims[1]} != "):
+            sum_(VectorField(*dims, unevaluated), piece, p)
 
 
 class TestReparametrization:

@@ -78,6 +78,15 @@ class TestDivergence:
         F = VectorField(3, 3, lambda p: p**2)
         assert abs(divergence(F, [1.0, 1.0, 1.0]) - 6.0) < 1e-7
 
+    @pytest.mark.parametrize("dim_out", [2, 4])
+    @pytest.mark.parametrize(
+        "div", [None, lambda p: np.zeros(p.shape[:-1])], ids=["no-div", "div"]
+    )
+    def test_requires_a_square_field(self, dim_out, div):
+        F = VectorField(3, dim_out, lambda p: p[..., :dim_out], div=div)
+        with pytest.raises(DimensionMismatch):
+            divergence(F, [0.2, 0.5, -1.0])
+
 
 class TestCurl:
     def test_rotation(self):

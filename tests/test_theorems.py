@@ -275,6 +275,35 @@ class TestInputErrors:
         with pytest.raises(DimensionMismatch):
             stokes_check(ROTATION_2D, DISK_PATCH, surf_p, CIRCLE_3D, bp)
 
+    @pytest.mark.parametrize(
+        "kind, dims",
+        [("green", (2, 1)), ("green", (2, 3)), ("gauss", (3, 2)), ("gauss", (3, 4)),
+         ("stokes", (3, 2))],
+    )
+    def test_a_field_of_another_output_dim_is_refused_before_any_sum(
+        self, kind, dims, monkeypatch
+    ):
+        import riemannlab.theorems as theorems
+
+        def no_sum(*args, **kwargs):
+            raise AssertionError("a sum ran before the field's dims were checked")
+
+        for name in ("pieces_sum", "region_sum", "surface_sum"):
+            monkeypatch.setattr(theorems, name, no_sum)
+        F = VectorField(*dims, lambda p: p[..., : dims[1]])
+        with pytest.raises(DimensionMismatch, match=f"{kind}_check needs"):
+            if kind == "green":
+                green_check(F, DISK_REGION, *disk_partitions(8, 64))
+            elif kind == "gauss":
+                region = get_scenario("gauss.ball.identity").region
+                interior = make_uniform_partition(region.param_box, 4)
+                faces = [make_uniform_partition(s.domain, 4) for s in region.boundary]
+                gauss_check(F, region, interior, faces)
+            else:
+                surf_p = make_uniform_partition(DISK_PATCH.domain, (16, 16))
+                bp = make_uniform_partition(Box(((0.0, TWO_PI),)), 128)
+                stokes_check(F, DISK_PATCH, surf_p, CIRCLE_3D, bp)
+
 
 class TestReport:
     @staticmethod
