@@ -12,11 +12,13 @@ The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
 integrand at a partition's tags with :func:`_rowwise`: in C-order slabs of
 at most ``_SLAB_ROWS`` tags, all of one length but the last, each built
 where it is evaluated, shared by the caller and helper threads that live
-for that one evaluation, and written into one output array. The process
-never runs more helpers than it has usable CPUs besides the caller, and a
-sum that finds every helper slot taken runs its slabs itself. Row-wise
-results do not depend on where a slab starts, so the values do not depend
-on the slab bounds, the thread count or the schedule.
+for that one evaluation. The kernel's slab function gets a slab's tags and
+its bounds, so it can weight the slab by its own cell measures, and its
+results fill one output array. The process never runs more helpers than
+it has usable CPUs besides the caller, and a sum that finds every helper
+slot taken runs its slabs itself. Row-wise results do not depend on where
+a slab starts, so the values do not depend on the slab bounds, the thread
+count or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied. Each
@@ -154,30 +156,35 @@ if hasattr(os, "register_at_fork"):  # POSIX only
     os.register_at_fork(after_in_child=_new_slots)
 
 
-def _rowwise(fn: Callable, p: Partition):
-    """``fn`` of every tag of the partition ``p``, for a row-wise ``fn``.
+def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.ndarray:
+    """``fn(rows, start, stop)`` of every slab of the partition ``p``, joined
+    in C-order into ``out`` (p.m rows), or into a new float array.
 
     Each slab of at most ``_SLAB_ROWS`` tags (``Partition.tag_slabs``) is
-    built where it is evaluated, so no (m, dim) tag array is made. The
-    caller evaluates the first slab as a float array, which is the result
-    when it is the only slab. Otherwise it fixes the trailing shape of the
-    float output (a 0-d result is broadcast over the rows), and the caller
-    and one ``riemannlab-slab`` thread per slot it takes from ``_slots``
-    take the other slabs in order and fill that one preallocated array.
-    Slots are taken without waiting, at most one per slab beyond the
-    caller's next: a sum that finds none free (one nested in a handle, a
-    concurrent caller's, any sum with one usable CPU) takes every slab
-    itself. Every helper is joined before the result returns, and the
-    exception of the lowest failing slab propagates as raised.
+    built where it is evaluated, so no (m, dim) tag array is made; ``fn``
+    gets the slab's tags, ``tags[start:stop]``, and its bounds, and its
+    result fills rows ``start:stop`` (a scalar is broadcast). The caller
+    evaluates the first slab, whose result is the whole when it is the only
+    slab and no ``out`` is given; a new output takes its trailing shape.
+    Then the caller and one ``riemannlab-slab`` thread per slot it takes
+    from ``_slots`` take the other slabs in order. Slots are taken without
+    waiting, at most one per slab beyond the caller's next: a sum that
+    finds none free (one nested in a handle, a concurrent caller's, any sum
+    with one usable CPU) takes every slab itself. Every helper is joined
+    before the result returns, and the exception of the lowest failing slab
+    propagates as raised.
     """
     bounds, rows = p.tag_slabs(_SLAB_ROWS)
     first_stop = bounds[0][1]
-    first = np.asarray(fn(rows(0, first_stop)), dtype=float)
-    if len(bounds) == 1:
-        return first
-    out = np.empty((p.m,) + first.shape[1:])
+    first = np.asarray(fn(rows(0, first_stop), 0, first_stop), dtype=float)
+    if out is None:
+        if len(bounds) == 1:
+            return first
+        out = np.empty((p.m,) + first.shape[1:])
     out[:first_stop] = first
     del first
+    if len(bounds) == 1:
+        return out
     slabs = iter(bounds[1:])
     take = threading.Lock()
     failures = {}  # slab start -> its exception
@@ -192,7 +199,7 @@ def _rowwise(fn: Callable, p: Partition):
                 return
             start, stop = slab
             try:
-                out[start:stop] = np.asarray(fn(rows(start, stop)), dtype=float)
+                out[start:stop] = np.asarray(fn(rows(start, stop), start, stop), float)
             except Exception as exc:
                 failures[start] = exc
 

@@ -70,11 +70,30 @@ class Box:
         return math.prod(hi - lo for lo, hi in self.axes)
 
 
-def _outer_product(per_axis) -> np.ndarray:
-    """Per-cell products of per-axis factors, flattened in C-order."""
-    out = np.asarray(per_axis[0], dtype=float)
-    for w in per_axis[1:]:
-        out = np.multiply.outer(out, np.asarray(w, dtype=float))
+def _cell_measures(axis_widths, start: int, stop: int) -> np.ndarray:
+    """``measures[start:stop]`` of the cells the per-axis ``axis_widths``
+    span, C-order. Cell (i_1, ..., i_n) measures ((w_1[i_1] * w_2[i_2]) * ...)
+    * w_n[i_n], multiplied in that order whatever the bounds, so a run of
+    cells has the bits of the same cells of the whole array. The leading
+    axes up to j, the first whose trailing block divides both bounds, give
+    one factor per block, and ``np.multiply.outer`` adds the trailing axes.
+    """
+    j, block = 0, math.prod(len(w) for w in axis_widths[1:])
+    while start % block or stop % block:
+        j += 1
+        block //= len(axis_widths[j])
+    first, last = start // block, stop // block  # the blocks' indices
+    # At j = 0 the blocks are axis 0's own indices, a contiguous run.
+    lead = slice(first, last) if j == 0 else np.arange(first, last)
+    digits = []
+    for w in axis_widths[j:0:-1]:  # axes j down to 1 take their digits
+        lead, digit = np.divmod(lead, len(w))
+        digits.append(digit)
+    out = axis_widths[0][lead]  # the quotient left is axis 0's
+    for w, digit in zip(axis_widths[1 : j + 1], reversed(digits)):
+        out = out * w[digit]
+    for w in axis_widths[j + 1 :]:
+        out = np.multiply.outer(out, w)
     return out.ravel()
 
 
@@ -173,7 +192,7 @@ class Partition:
     def measures(self) -> np.ndarray:
         """Per-cell measures m(I_k), C-order, length m: computed from
         ``axis_widths`` on each access (m * 8 bytes), and not cached."""
-        return _outer_product(self.axis_widths)
+        return _cell_measures(self.axis_widths, 0, self.m)
 
     @cached_property
     def mesh(self) -> float:
@@ -365,7 +384,7 @@ class PerturbedPartition:
     @property
     def measures(self) -> np.ndarray:
         """Per-cell perturbed measures m(Ĩ_k), C-order, computed on each access."""
-        return _outer_product(self.axis_widths)
+        return _cell_measures(self.axis_widths, 0, self.base.m)
 
 
 def apply_perturbation(p: Partition, breakpoints) -> PerturbedPartition:
@@ -570,17 +589,35 @@ class DeletionPlan:
     resolved: tuple[int, ...] | None = None
 
 
+def _largest(terms: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of the ``k`` greatest |terms|, ties to the lowest
+    position, nan ranked last. The rule is a strict total order, so the ``k``
+    picked from the union of runs' own picks are the whole array's ``k``."""
+    n = len(terms)
+    if k >= n:
+        return np.arange(n)
+    mags = np.abs(terms)
+    mags[np.isnan(mags)] = -1.0  # nan ranks last
+    kth = np.partition(mags, n - k)[n - k]  # the k-th largest, in O(n)
+    above = np.flatnonzero(mags > kth)
+    ties = np.flatnonzero(mags == kth)[: k - len(above)]  # lowest positions win
+    return np.sort(np.concatenate([above, ties]))
+
+
 def select_indices(
     schedule: Schedule,
     selector: Selector,
     m: int,
     terms=None,
     is_equal: bool = True,
+    at=None,
 ) -> tuple[int, ...]:
     """Resolve a deleted index set over ``m`` terms (0-based, ascending).
 
     Vanishing schedules (PowerLaw, Logarithmic) demand ``is_equal``,
     matching the theorems' clause-ii/iii equal-partition hypotheses.
+    LargestTerm ranks ``terms``: all m of them or, given ``at``, the terms
+    at the ascending indices ``at``, which must include the K largest.
     """
     if not isinstance(schedule, FixedK) and not is_equal:
         raise EqualPartitionRequired(
@@ -596,14 +633,13 @@ def select_indices(
     elif isinstance(selector, LargestTerm):
         if terms is None:
             raise MissingTerms("LargestTerm selection needs per-cell magnitudes")
-        mags = np.abs(np.asarray(terms, dtype=float).ravel())
-        if len(mags) != m:
-            raise MissingTerms(f"expected {m} magnitudes, got {len(mags)}")
-        mags[np.isnan(mags)] = -1.0  # nan ranks last
-        kth = np.partition(mags, m - k)[m - k]  # the k-th largest, in O(m)
-        above = np.flatnonzero(mags > kth)
-        ties = np.flatnonzero(mags == kth)[: k - len(above)]  # lowest indices win
-        indices = np.sort(np.concatenate([above, ties]))
+        terms = np.asarray(terms, dtype=float).ravel()
+        expected = m if at is None else len(at)
+        if len(terms) != expected:
+            raise MissingTerms(f"expected {expected} magnitudes, got {len(terms)}")
+        indices = _largest(terms, k)
+        if at is not None:
+            indices = np.asarray(at)[indices]
     else:
         raise TypeError(f"unknown selector {selector!r}")
     return tuple(indices.tolist())

@@ -9,11 +9,13 @@ combined    perturbed measures and a deletion plan together
 region, line, surface and theorem-boundary sums only build row-wise
 integrands (a region's is f pulled back to its parameter box) and hand
 them to it, with the partitions they live on. It is the one place
-integrands are evaluated, at their tags in row slabs; it also resolves
-deletion once over one index space, weights by base or perturbed cell
-measures, overwrites the deleted terms with -0.0, which changes no bit
-of a sum, and reduces to the correctly rounded, order-independent sum, so
-equal inputs give bit-identical estimates.
+integrands are evaluated, at their tags in row slabs, and each slab's
+terms are built where it is evaluated, from its base or perturbed cell
+measures, into one m-term array, the only array of m entries a sum holds.
+It resolves deletion once over one index space (LargestTerm from each
+slab's own K largest), overwrites the deleted terms with -0.0, which
+changes no bit of a sum, and reduces to the correctly rounded,
+order-independent sum, so equal inputs give bit-identical estimates.
 
 Each integral has one entry point (:func:`variant_sum`, :func:`region_sum`
 here; ``line_sum`` and ``surface_sum`` in :mod:`riemannlab.curve_surface`).
@@ -25,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateNormal, DimensionMismatch, InvalidParameter
-from .errors import NonFiniteSum, UnboundPlan
+from .errors import NonFiniteSum, RiemannLabError, UnboundPlan
 from .fields import ParametricRegion, ScalarField, _rowwise
 from .geometry import (
     DeletionPlan,
@@ -42,9 +45,12 @@ from .geometry import (
     RandomPick,
     Schedule,
     Selector,
+    _cell_measures,
+    _largest,
     bind_deletion,
     check_seed,
     perturb,
+    schedule_count,
     select_indices,
 )
 from .summation import neumaier_sum
@@ -122,29 +128,23 @@ FULL = VariantSpec()
 
 
 def _deleted_indices(plan: DeletionPlan, m: int) -> np.ndarray:
-    """A bound plan's deleted indices, checked against ``m`` terms."""
+    """A bound plan's deleted indices, checked against ``m`` terms, each once
+    and ascending."""
     if plan.resolved is None:
         raise UnboundPlan("deletion plan must be bound to the partition first")
     idx = np.asarray(plan.resolved, dtype=int)
     if len(idx) == 0 or len(idx) >= m or idx.min() < 0 or idx.max() >= m:
         raise UnboundPlan(f"resolved index set invalid for m={m}")
-    return idx
+    # Sorted, repeats dropped: np.unique, without the numpy.ma import (1 MB)
+    # that np.unique makes on its first call.
+    idx = np.sort(idx)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The pieces' arrays as one index space; one piece is not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _selected(spec: VariantSpec, base_terms, partitions, m: int) -> tuple[int, ...]:
-    """The indices ``spec`` deletes from the pieces' one index space.
-
-    ``base_terms`` (integrand x base measure) is needed only by LargestTerm,
-    which ranks their absolute values.
-    """
+def _is_equal(partitions) -> bool:
+    """The pieces' cells all have one measure, as vanishing schedules ask."""
     firsts = [math.prod(w[0] for w in p.axis_widths) for p in partitions]
-    is_equal = all(p.is_equal and f == firsts[0] for p, f in zip(partitions, firsts))
-    return select_indices(spec.schedule, spec.selector, m, base_terms, is_equal)
+    return all(p.is_equal and f == firsts[0] for p, f in zip(partitions, firsts))
 
 
 def pieces_sum(
@@ -159,14 +159,18 @@ def pieces_sum(
 
     ``integrands[i]``, row-wise on slabs of the tags of ``partitions[i]``, is
     evaluated once per tag (:func:`fields._rowwise`); the pieces form one
-    index space. With ``degenerate`` it returns the integrand and the
-    surface normal's norm as columns, and keeping a cell whose norm is 0
-    raises DegenerateNormal. A bound ``plan`` and a ``perturbation`` are
-    used as given, in place of what ``spec`` would resolve; a perturbation
-    must be built from the one partition it weights. Otherwise ``spec``
-    selects the deleted indices (LargestTerm ranks |integrand x base
-    measure|) and jitters piece i with seed ``spec.seed + i``. No pieces (a
-    region declared without boundary, say) raise DimensionMismatch.
+    index space. Each slab's terms are built where it is evaluated, from its
+    cell measures (``geometry._cell_measures``), into the sum's one m-term
+    array. With ``degenerate`` the integrand returns the surface normal's
+    norm as a second column, and keeping a cell whose norm is 0 raises
+    DegenerateNormal. A bound ``plan`` and a ``perturbation`` are used as
+    given, in place of what ``spec`` would resolve; a perturbation must be
+    built from the one partition it weights. Otherwise ``spec`` selects the
+    deleted indices and jitters piece i with seed ``spec.seed + i``.
+    LargestTerm ranks |integrand x base measure|: each slab keeps its own K
+    largest as candidates, and one :func:`select_indices` call picks the K
+    from their union. No pieces (a region declared without boundary, say)
+    raise DimensionMismatch.
     """
     if not partitions:
         raise DimensionMismatch("a sum needs at least one piece")
@@ -176,40 +180,73 @@ def pieces_sum(
         raise DimensionMismatch(
             "a perturbation must be built from the one partition it weights"
         )
-    m = sum(p.m for p in partitions)
-    dots = [np.asarray(_rowwise(f, p), float) for f, p in zip(integrands, partitions)]
-    if degenerate:  # columns: the integrand and the surface normal's norm
-        zero_norm = _joined([d[:, 1] == 0.0 for d in dots])
-        dots = [d[:, 0] for d in dots]
-    reweighted = perturbation is not None or spec.perturbs
-    terms = None  # LargestTerm's base terms, when no perturbation reweights them
-    if plan is None and spec.deletes:
-        if isinstance(spec.selector, LargestTerm):
-            terms = _joined([d * p.measures for d, p in zip(dots, partitions)])
-            if not reweighted:
-                dots = None  # the terms are final: free the values before ranking
-        indices = _selected(spec, terms, partitions, m)
-        plan = DeletionPlan(spec.schedule, spec.selector, indices)
-        if reweighted:
-            terms = None  # freed before the perturbed terms are built
+    offsets = list(accumulate((p.m for p in partitions), initial=0))
+    m = offsets[-1]
     pps = None if perturbation is None else [perturbation]
+    unweighted = None  # a jitter that fails raises after evaluation and selection
     if pps is None and spec.perturbs:
-        pps = [perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)]
+        try:
+            pps = [perturb(p, spec.gamma, spec.seed + i) for i, p in enumerate(partitions)]
+        except RiemannLabError as exc:
+            unweighted = exc
+    ranked = plan is None and spec.deletes and isinstance(spec.selector, LargestTerm)
+    k = schedule_count(spec.schedule, max(m, 2)) if ranked else 0
+    candidates = {}  # global slab start -> (indices, base terms) of its K largest
+    zero_norms = {}  # global slab start -> indices of its tags whose normal vanishes
 
-    if terms is None:
-        terms = _joined([d * w.measures for d, w in zip(dots, pps or partitions)])
-    # Integrand values are freed here, so they do not add to the peak memory
-    # of the reduction.
-    del dots
+    def slab_terms(i):
+        """Piece i's terms of a slab: integrand x base or perturbed measure."""
+        integrand, p, offset = integrands[i], partitions[i], offsets[i]
+        weights = p if pps is None else pps[i]
+
+        def terms(rows, start, stop):
+            values = np.asarray(integrand(rows), float)
+            if degenerate:  # columns: the integrand and the surface normal's norm
+                zero = np.flatnonzero(values[:, 1] == 0.0)
+                if zero.size:
+                    zero_norms[offset + start] = offset + start + zero
+                values = values[:, 0]
+            if ranked:
+                base = values * _cell_measures(p.axis_widths, start, stop)
+                # A sum of one slab is ranked once, by select_indices.
+                picked = _largest(base, k if stop - start < m else m)
+                candidates[offset + start] = (offset + start + picked, base[picked])
+                if weights is p:
+                    return base
+            return values * _cell_measures(weights.axis_widths, start, stop)
+
+        return terms
+
+    if len(partitions) == 1:  # a one-slab piece's terms are that slab's, uncopied
+        terms = _rowwise(slab_terms(0), partitions[0])
+    else:
+        terms = np.empty(m)
+        for i, p in enumerate(partitions):
+            _rowwise(slab_terms(i), p, terms[offsets[i] : offsets[i + 1]])
+    if plan is None and spec.deletes:
+        at = ranked_terms = None
+        if ranked:
+            picks = [candidates[start] for start in sorted(candidates)]
+            at = np.concatenate([indices for indices, _ in picks])
+            ranked_terms = np.concatenate([base for _, base in picks])
+        indices = select_indices(
+            spec.schedule, spec.selector, m, ranked_terms, _is_equal(partitions), at
+        )
+        plan = DeletionPlan(spec.schedule, spec.selector, indices)
+    if unweighted is not None:
+        raise unweighted
+    deleted = 0
     if plan is not None:
         idx = _deleted_indices(plan, m)
         terms[idx] = -0.0  # x + (-0.0) == x for every float x, ±0 included
-        if degenerate:
-            zero_norm[idx] = False
-    if degenerate and np.any(zero_norm):
-        raise DegenerateNormal("surface normal vanishes at a used tag")
+        deleted = len(idx)
+    if zero_norms:
+        zero = np.concatenate(list(zero_norms.values()))
+        if plan is not None:
+            zero = zero[~np.isin(zero, idx)]
+        if zero.size:
+            raise DegenerateNormal("surface normal vanishes at a used tag")
     value, resid = neumaier_sum(terms)
-    deleted = 0 if plan is None else len(set(plan.resolved))
     symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)
     # VARIANTS is ordered full, deleted, perturbed, combined.
     variant = VARIANTS[(plan is not None) + 2 * (pps is not None)]

@@ -9,8 +9,8 @@ scalar and vectorized evaluation bit-identical. The agreement checks
 compare analytic derivative handles with finite differences of the
 handles they differentiate. Earlier library forms are kept as references
 for the forms that replaced them: the region pull-back as a field of its
-own, the four line and surface integrand builders, and the Stokes probe's
-curl as a stored field.
+own, the four line and surface integrand builders, the Stokes probe's curl
+as a stored field, and the reduction in one whole-array pass.
 """
 
 from __future__ import annotations
@@ -242,6 +242,35 @@ def mask_and_copy_sum(terms, deleted) -> tuple[float, float, int]:
     keep[np.asarray(deleted, dtype=int)] = False
     value, residual = neumaier_sum(terms[keep])
     return value, residual, int(len(terms) - keep.sum())
+
+
+def whole_array_neumaier_sum(values) -> tuple[float, float]:
+    """The reduction as it was before it ran in blocks: extraction passes
+    over the whole array, then ``math.fsum`` of the pass sums and what is
+    left, and the residual over one ``np.cumsum`` of the whole array."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 0:
+        return 0.0, 0.0
+    parts = []
+    y = x
+    while y.size > 1024:
+        top = max(y.max(), -y.min())
+        if not 0.0 < top < math.inf:
+            break
+        e = math.frexp(top)[1] + math.frexp(y.size + 2)[1]
+        if e > 1023 or e - 53 < -1022:
+            break
+        sigma = math.ldexp(1.0, e)
+        high = (y + sigma) - sigma
+        parts.append(float(high.sum()))
+        low = y - high
+        y = low[low != 0.0]
+    try:
+        total = math.fsum(parts + y.tolist())
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.cumsum(x)[-1]), 0.0
+    return total, total - float(np.cumsum(x)[-1])
 
 
 def naive_total(terms, deleted=()) -> float:

@@ -65,3 +65,26 @@ def test_importing_the_package_loads_no_pool_and_starts_no_thread():
         env={**os.environ, "PYTHONPATH": path}, timeout=60,
     ).stdout
     assert out == "[] 1\n"
+
+
+def test_deleted_sums_load_no_masked_arrays():
+    """``np.unique`` and ``np.setdiff1d`` import ``numpy.ma`` (about 1 MB) on
+    first use; dropping repeated indices and kept zero-norm tags needs neither."""
+    probe = (
+        "import sys\n"
+        "import riemannlab as rl\n"
+        "from riemannlab.scenarios import SPHERE\n"
+        "p = rl.make_uniform_partition(rl.Box(((0.0, 1.0),)), 8)\n"
+        "plan = rl.DeletionPlan(rl.FixedK(2), rl.Prefix(), (3, 1, 3))\n"
+        "rl.variant_sum(rl.ScalarField(1, lambda q: q[..., 0]), p, plan=plan)\n"
+        "q = rl.make_uniform_partition(SPHERE.domain, 8)\n"
+        "spec = rl.VariantSpec('deleted', rl.FixedK(2), rl.RandomPick(1))\n"
+        "rl.surface_sum(rl.ScalarField(3, lambda x: x[..., 0]), SPHERE, q, spec)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    ).stdout
+    assert out == "False\n"

@@ -6,36 +6,52 @@ explicit bound ``plan=`` and ``perturbation=``. These tests pin that the two
 spellings agree bit for bit, that a perturbation is refused unless it was
 built from the partition it weights, and that LargestTerm ranks the one
 field evaluation the sum itself uses: every integrand sees each of its
-piece's tags exactly once per sum.
+piece's tags exactly once per sum. LargestTerm keeps each slab's K largest
+base terms as candidates and picks the K from their union, which must be
+the K a whole-array ``select_indices`` picks.
 """
 
+import contextlib
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riemannlab import (
     Box,
     DimensionMismatch,
     FixedK,
+    InvalidParameter,
     LargestTerm,
+    NonFiniteSum,
     ParametricRegion,
     Path,
+    PowerLaw,
     Prefix,
     RandomPick,
     ScalarField,
+    TooFewCells,
     VariantSpec,
     VectorField,
+    fields,
+    gauss_check,
     green_check,
     line_sum,
     make_uniform_partition,
     perturb,
+    quadrature,
     surface_sum,
     variant_sum,
 )
-from riemannlab.fields import _SLAB_ROWS
+from riemannlab.curve_surface import pull_back
+from riemannlab.fields import _SLAB_ROWS, _usable_cpus
+from riemannlab.geometry import select_indices
 from riemannlab.quadrature import resolve_variant
-from riemannlab.scenarios import CIRCLE_2D, IDENTITY_3D, ROTATION_2D, SPHERE, TWO_PI
+from riemannlab.scenarios import CIRCLE_2D, CUBE_REGION, IDENTITY_3D, ROTATION_2D, SPHERE, TWO_PI
 
 SQUARE = Box(((0.0, 1.0), (0.0, 1.0)))
 CIRCLE_BOX = Box(((0.0, TWO_PI),))
@@ -257,3 +273,126 @@ def test_green_boundary_field_sees_each_boundary_tag_once(kind, selector):
         piece.pos(bp.tags[:, 0]) for piece, bp in zip(SQUARE_REGION.boundary, bps)
     ])
     _assert_seen_once(seen, expected)
+
+
+
+class FieldFailure(Exception):
+    pass
+
+
+def test_a_failing_jitter_raises_after_evaluation_and_selection():
+    """Measures are weighted where each slab is evaluated, so the jitter is
+    drawn first; a jitter that fails still raises where it always did."""
+
+    def fails(q):
+        raise FieldFailure
+
+    one = ScalarField(1, lambda q: q[..., 0])
+    cells = make_uniform_partition(Box(((0.0, 1.0),)), 4)
+    cell = make_uniform_partition(Box(((0.0, 1.0),)), 1)
+    bad_gamma = VariantSpec("combined", FixedK(1), Prefix(), gamma=2.0)
+    with pytest.raises(FieldFailure):
+        variant_sum(ScalarField(1, fails), cells, bad_gamma)
+    with pytest.raises(TooFewCells):
+        variant_sum(one, cell, bad_gamma)
+    with pytest.raises(InvalidParameter, match="gamma"):
+        variant_sum(one, cells, bad_gamma)
+
+
+# --- LargestTerm's per-slab candidates -----------------------------------------
+
+
+@contextlib.contextmanager
+def _slabs(rows: int, helpers: bool):
+    """Sums in slabs of ``rows`` tags, with every helper slot free or taken."""
+    taken = 0
+    try:
+        while not helpers and taken < _usable_cpus() and fields._slots.acquire(blocking=False):
+            taken += 1
+        with mock.patch.object(fields, "_SLAB_ROWS", rows):
+            yield
+    finally:
+        for _ in range(taken):
+            fields._slots.release()
+
+
+@contextlib.contextmanager
+def _picks():
+    """A list that receives every index set the kernel's select_indices returns."""
+    picked = []
+
+    def recorded(*args, **kwargs):
+        picked.append(select_indices(*args, **kwargs))
+        return picked[-1]
+
+    with mock.patch.object(quadrature, "select_indices", recorded):
+        yield picked
+
+
+TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
+
+
+@given(
+    st.integers(2, 300).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+    st.booleans(),  # PowerLaw(0.9) in place of FixedK(k)
+    st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=5),
+    st.sampled_from([1, 3, 7, 64]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_slab_candidates_pick_the_whole_array_k(m_and_k, power, pool, rows, helpers, seed):
+    """Few distinct values tie across slab edges; nan and inf rank as the
+    whole-array rule ranks them, and K may exceed a slab."""
+    m, k = m_and_k
+    table = np.random.default_rng(seed).choice(np.array(pool), m)
+    # Cell j of [0, m] has width 1.0 and its midpoint tag in [j, j + 1).
+    p = make_uniform_partition(Box(((0.0, float(m)),)), m)
+    f = ScalarField(1, lambda q: table[np.floor(q[..., 0]).astype(int)])
+    schedule = PowerLaw(0.9) if power else FixedK(k)
+    with _slabs(rows, helpers), _picks() as picked:
+        try:
+            variant_sum(f, p, VariantSpec("deleted", schedule, LargestTerm()))
+        except NonFiniteSum:  # a kept nan or inf; the selection came first
+            pass
+    assert picked == [select_indices(schedule, LargestTerm(), m, table)]
+
+
+@pytest.mark.parametrize("helpers", [True, False], ids=["helpers", "caller-only"])
+@pytest.mark.parametrize("schedule", [FixedK(3), FixedK(200)], ids=["K=3", "K=200"])
+@pytest.mark.parametrize("kind", ["deleted", "combined"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_slab_candidates_give_the_whole_array_plans_bits(case, kind, schedule, helpers):
+    """A combined sum ranks base terms and sums perturbed ones."""
+    field, partition, spec_sum, explicit_sum, base_terms = CASES[case]
+    p = partition()
+    spec = VariantSpec(kind, schedule, LargestTerm(), gamma=0.4, seed=11)
+    plan, pp = resolve_variant(spec, p, np.abs(base_terms(field, p)))
+    with _slabs(7, helpers):
+        assert _fields(spec_sum(field, p, spec)) == _fields(explicit_sum(field, p, plan, pp))
+
+
+CUBE_FIELD = VectorField(
+    3, 3, lambda p: np.stack([p[..., 0] ** 2, p[..., 1] * p[..., 2], -p[..., 2]], axis=-1)
+)
+
+
+@pytest.mark.parametrize("helpers", [True, False], ids=["helpers", "caller-only"])
+@pytest.mark.parametrize("schedule", [FixedK(4), PowerLaw(0.8)], ids=["K=4", "K=PowerLaw"])
+def test_six_cube_faces_pick_the_whole_array_k(schedule, helpers):
+    """The boundary sum's pieces form one index space: its candidates come
+    from slabs of six faces, and PowerLaw's K exceeds a slab."""
+    interior = make_uniform_partition(CUBE_REGION.param_box, 4)
+    bps = [make_uniform_partition(s.domain, 16, "random", seed=i)
+           for i, s in enumerate(CUBE_REGION.boundary)]
+    spec = VariantSpec("combined", schedule, LargestTerm(), gamma=0.4, seed=11)
+    base = np.concatenate([
+        pull_back(CUBE_FIELD, s, bp)(bp.tags) * bp.measures
+        for s, bp in zip(CUBE_REGION.boundary, bps)
+    ])
+    with _slabs(50, helpers), _picks() as picked:
+        slabbed = gauss_check(CUBE_FIELD, CUBE_REGION, interior, bps, boundary_spec=spec)
+    assert picked == [select_indices(schedule, LargestTerm(), len(base), base)]
+    with mock.patch.object(fields, "_SLAB_ROWS", math.inf):
+        whole = gauss_check(CUBE_FIELD, CUBE_REGION, interior, bps, boundary_spec=spec)
+    assert _fields(slabbed.rhs) == _fields(whole.rhs)

@@ -34,6 +34,7 @@ from riemannlab import (
     neumaier_sum,
     perturb,
     region_sum,
+    schedule_count,
     variant_sum,
 )
 from riemannlab.scenarios import BALL_REGION, DISK_REGION, SINPROD_2D
@@ -138,6 +139,13 @@ class TestDeletionByIndex:
         p = make_uniform_partition(UNIT, 4)
         est = variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(2), Prefix(), (3, 1, 3)))
         assert (est.value, est.deleted_count, est.variant) == (0.5, 2, "deleted")
+
+    @pytest.mark.parametrize("selector", [Prefix(), RandomPick(5)], ids=["prefix", "random"])
+    def test_a_big_deletion_counts_each_of_its_k_cells(self, selector):
+        p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), 1024)
+        spec = VariantSpec("deleted", PowerLaw(0.95), selector)
+        est = variant_sum(ScalarField(2, lambda q: q[..., 0]), p, spec)
+        assert est.deleted_count == schedule_count(PowerLaw(0.95), p.m) == 524_287
 
     @pytest.mark.parametrize("resolved", [(), (0, 1, 2, 3), (-1,), (4,), (0, 0, 1, 2)])
     def test_invalid_index_sets_are_unbound(self, resolved):

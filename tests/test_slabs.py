@@ -24,7 +24,6 @@ from riemannlab import (
     FixedK,
     LargestTerm,
     Partition,
-    Prefix,
     RandomPick,
     ScalarField,
     VariantSpec,
@@ -63,6 +62,11 @@ def _vector(p):
     return np.stack([np.sin(y) + x * np.cos(z), np.exp(0.5 * z) * y, np.sin(x * y)], axis=-1)
 
 
+def _slabbed(fn, p):
+    """``fn`` of every tag of ``p``, a slab at a time."""
+    return _rowwise(lambda rows, start, stop: fn(rows), p)
+
+
 def _random_tags(n, dim, seed=0, lo=-2.0, hi=2.0):
     """A partition of n cells in a row along axis 0, with random tags."""
     counts = (n,) + (1,) * (dim - 1)
@@ -82,14 +86,14 @@ def test_slabs_match_one_whole_array_call(case, n):
     fn, dim = CASES[case]
     p = _random_tags(n, dim, seed=n)
     whole = np.asarray(fn(p.tags), dtype=float)
-    slabbed = _rowwise(fn, p)
+    slabbed = _slabbed(fn, p)
     assert slabbed.shape == whole.shape
     assert slabbed.tobytes() == whole.tobytes()
 
 
 def test_a_float_for_a_partition_is_broadcast():
     p = _random_tags(3 * _SLAB_ROWS + 5, 2)
-    out = _rowwise(lambda q: 2.5, p)
+    out = _slabbed(lambda q: 2.5, p)
     assert out.shape == (p.m,) and np.all(out == 2.5)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 100)  # 10^4 cells
     assert variant_sum(ScalarField(2, lambda q: 2.5), p).value == math.fsum(
@@ -118,7 +122,7 @@ def test_grid_tag_slabs_match_one_whole_array_call(counts, rule):
     assert [b - a for a, b in bounds] == GRID_SLABS[counts]
     fn = _scalar if len(counts) == 2 else _vector
     whole = np.asarray(fn(grid_stack_tags(p.breakpoints, rule)), dtype=float)
-    assert _rowwise(fn, p).tobytes() == whole.tobytes()
+    assert _slabbed(fn, p).tobytes() == whole.tobytes()
 
 
 def test_sums_never_materialise_grid_tags(monkeypatch):
@@ -137,9 +141,15 @@ def test_sums_never_materialise_grid_tags(monkeypatch):
     variant_sum(ScalarField(2, _scalar), p)
 
 
-def test_a_full_sum_holds_three_cell_arrays_at_its_peak():
-    """The integrand values, the cell measures and the terms, plus the slabs
-    in flight; the 2^20 grid tags (16 MiB) are never built."""
+# A sum's peak above its one m-term array: the reduction's blocks and the
+# slabs in flight (a slab's tags, its values, measures and temporaries).
+BLOCK_BYTES = 2**21
+SLAB_BYTES = 8 * 8 * _SLAB_ROWS
+
+
+def test_a_full_sum_holds_one_cell_array_at_its_peak():
+    """The terms, plus the reduction's blocks and the slabs in flight; the
+    2^20 grid tags (16 MiB) are never built."""
     tracemalloc.start()
     try:
         p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 1024)
@@ -147,35 +157,36 @@ def test_a_full_sum_holds_three_cell_arrays_at_its_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab_bytes = 8 * 8 * _SLAB_ROWS  # a slab's tags, its values and temporaries
-    assert peak < 3 * 8 * p.m + 2**20 + _usable_cpus() * slab_bytes
+    assert peak < 8 * p.m + BLOCK_BYTES + _usable_cpus() * SLAB_BYTES
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        VariantSpec("deleted", FixedK(8), RandomPick(3)),
-        VariantSpec("combined", FixedK(8), Prefix(), 0.5, 3),
-        VariantSpec("deleted", FixedK(8), LargestTerm()),
-    ],
-    ids=["deleted-random", "combined-prefix", "deleted-largest"],
-)
-def test_a_deleted_sum_holds_no_more_than_a_full_sum(spec):
-    """Deleted terms are overwritten in place: no keep mask and no copy of
-    the kept terms, and LargestTerm ranks final terms with the integrand
-    values freed. The sum runs once untraced first, so that one-time
-    imports (``numpy.random``) do not count."""
-    f = ScalarField(2, _scalar)
-    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 1024)
-    variant_sum(f, p, spec)
+BOX_SPECS = {  # the benchmark's six variant/selector mixes
+    "full": VariantSpec(),
+    "deleted-random": VariantSpec("deleted", FixedK(8), RandomPick(3)),
+    "deleted-largest": VariantSpec("deleted", FixedK(8), LargestTerm()),
+    "perturbed": VariantSpec("perturbed", gamma=0.5, seed=3),
+    "combined-random": VariantSpec("combined", FixedK(8), RandomPick(3), 0.5, 3),
+    "combined-largest": VariantSpec("combined", FixedK(8), LargestTerm(), 0.5, 3),
+}
+
+
+@pytest.mark.parametrize("counts", [(1024, 1024), (96, 96, 96)], ids=["1024^2", "96^3"])
+@pytest.mark.parametrize("mix", sorted(BOX_SPECS))
+def test_a_deleted_sum_holds_no_more_than_a_full_sum(mix, counts):
+    """Every variant holds one m-term array: measures are built per slab,
+    deleted terms are overwritten in place, and LargestTerm ranks each
+    slab's base terms as it is evaluated. The sum runs once untraced first,
+    so that one-time imports (``numpy.random``) do not count."""
+    p = make_uniform_partition(Box(((0.0, 1.0),) * len(counts)), counts)
+    f = ScalarField(len(counts), _scalar if len(counts) == 2 else lambda q: _vector(q)[:, 0])
+    variant_sum(f, p, BOX_SPECS[mix])
     tracemalloc.start()
     try:
-        variant_sum(f, p, spec)
+        variant_sum(f, p, BOX_SPECS[mix])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab_bytes = 8 * 8 * _SLAB_ROWS
-    assert peak < 3 * 8 * p.m + 2**20 + _usable_cpus() * slab_bytes
+    assert peak < 8 * p.m + BLOCK_BYTES + _usable_cpus() * SLAB_BYTES
 
 
 class SlabFailure(Exception):
@@ -194,7 +205,7 @@ def test_lowest_failing_slab_propagates_as_raised(first_bad):
         return q[:, 0]
 
     with pytest.raises(SlabFailure, match=f"^slab {first_bad}$"):
-        _rowwise(fn, p)
+        _slabbed(fn, p)
 
 
 def _helpers_at_work(*fns):
@@ -243,7 +254,7 @@ def test_concurrent_callers_never_run_more_helpers_than_spare_cpus():
     results = [None] * len(inputs)
 
     def call(i):
-        results[i] = _rowwise(counted, inputs[i])
+        results[i] = _slabbed(counted, inputs[i])
 
     callers = [
         threading.Thread(target=call, args=(i,), daemon=True) for i in range(len(inputs))

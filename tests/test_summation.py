@@ -13,7 +13,9 @@ from riemannlab import (
     get_scenario,
     make_uniform_partition,
 )
-from riemannlab.summation import _FSUM_FLOOR, neumaier_sum
+from riemannlab.summation import _BLOCK, _FSUM_FLOOR, neumaier_sum
+
+from oracles import whole_array_neumaier_sum
 
 
 class TestNeumaier:
@@ -161,6 +163,8 @@ class TestExtraction:
             SumEstimate(total, x.size, 1.0, 0, 0.0, "full", 0.0)
 
     def test_peak_memory_stays_near_the_input(self):
+        """The passes and the plain sum hold a few blocks' temporaries, and
+        nothing the size of the input."""
         x = sinprod_terms()
         neumaier_sum(x)  # warm numpy's first-call allocations
         tracemalloc.start()
@@ -169,13 +173,72 @@ class TestExtraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * x.nbytes
+        assert peak < 4 * 8 * _BLOCK
 
 
 SPECIAL_TERMS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
     1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -1.0,
 ]
+
+
+def _bits(pair) -> list[str]:
+    return [v.hex() for v in pair]
+
+
+def _near_overflow_after_cancelling() -> np.ndarray:
+    """Two blocks: the first cancels +-1.7e308, the second adds up to about
+    3e307 and extracts on its own. In index order no partial sum overflows,
+    so the total is fsum's, not the plain sum; with the second block's pass
+    sum first, 3e307 + 1.7e308 would overflow."""
+    x = np.zeros(2 * _BLOCK)
+    x[:2] = 1.7e308, -1.7e308
+    x[_BLOCK:] = 2.0**1005 * (1.0 + np.random.default_rng(3).random(_BLOCK))
+    return x
+
+
+class TestBlocks:
+    """The passes run per block of ``_BLOCK`` terms and once more over the
+    blocks' remainders, and the plain sum carries from block to block: total
+    and residual keep the bits of one whole-array pass (the oracle)."""
+
+    EDGES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1025]
+
+    @given(
+        st.sampled_from(EDGES),
+        st.sampled_from([(-60, 60), (-1070, 1020), (-1074, -990), (990, 1020), (1000, 1006)]),
+        st.lists(st.sampled_from(SPECIAL_TERMS), max_size=4),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_keep_the_bits_of_one_whole_array_pass(
+        self, n, exponents, specials, zero_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * np.exp2(rng.uniform(*exponents, n))
+        x[rng.random(n) < zero_share] = rng.choice([0.0, -0.0])
+        edges = [e for e in (0, _BLOCK - 1, _BLOCK, n - 1) if e < n]  # the block edges
+        for value in specials:
+            x[rng.choice(edges + [int(rng.integers(n))])] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = neumaier_sum(x), whole_array_neumaier_sum(x)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            _near_overflow_after_cancelling(),
+            np.full(2 * _BLOCK + 1025, 2.0**1005),  # every block extracts; the sum overflows
+            np.full(3 * _BLOCK, -0.0),
+            np.concatenate([np.full(_BLOCK, -0.0), [1.0, -1.0]]),  # an exact zero
+            np.concatenate([np.full(_BLOCK, 5e-324), np.full(_BLOCK, 1.0)]),
+        ],
+        ids=["cancelled-overflow", "overflow", "negative-zeros", "exact-zero", "subnormal-block"],
+    )
+    def test_pinned_blocks_keep_the_bits_of_one_whole_array_pass(self, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bits(neumaier_sum(x)) == _bits(whole_array_neumaier_sum(x))
 
 
 class TestNegativeZeroFill:
