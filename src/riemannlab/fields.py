@@ -9,16 +9,18 @@ gives the same values as evaluating it whole. Every constructed object is
 immutable and safe to evaluate from many threads.
 
 The kernel, :func:`riemannlab.quadrature.pieces_sum`, evaluates every sum's
-integrand at a partition's tags with :func:`_rowwise`: in C-order slabs of
-at most ``_SLAB_ROWS`` tags, all of one length but the last, each built
-where it is evaluated, shared by the caller and helper threads that live
-for that one evaluation. The kernel's slab function gets a slab's tags and
-its bounds, so it can weight the slab by its own cell measures, and its
-results fill one output array. The process never runs more helpers than
-it has usable CPUs besides the caller, and a sum that finds every helper
-slot taken runs its slabs itself. Row-wise results do not depend on where
-a slab starts, so the values do not depend on the slab bounds, the thread
-count or the schedule.
+integrand at a partition's tags with :func:`_rowwise`: in C-order slabs, each
+built where it is evaluated. The caller times the first slab, of at most
+``_SLAB_ROWS`` tags; when it was cheap and many slabs are left, the later
+slabs are up to ``_GROW_MAX`` times as long, so their fixed cost per slab is
+paid less often. The caller and helper threads that live for that one evaluation share
+the later slabs. The kernel's slab function gets a slab's tags, its bounds
+and its rows of the output, so it can weight the slab by its own cell
+measures straight into one output array. The process never runs more
+helpers than it has usable CPUs besides the caller, and a sum that finds
+every helper slot taken runs its slabs itself. Row-wise results do not
+depend on where a slab starts, so the values do not depend on the slab
+bounds, the thread count, the first slab's timing or the schedule.
 
 Derivatives fall back to 4th-order central differences with per-axis step
 ``h_i = max(1e-6, 1e-6 * |x_i|)`` when no analytic handle is supplied. Each
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,7 +132,11 @@ class ParametricRegion:
 
 # --- slab-parallel evaluation ------------------------------------------------
 
-_SLAB_ROWS = 8192  # rows per slab: the integrand's temporaries stay cache-sized
+_SLAB_ROWS = 8192  # rows of a first slab: the integrand's temporaries stay cache-sized
+# A first slab that took less than _GROW_TARGET_S seconds makes the other
+# slabs of its sum up to _GROW_MAX times as long (see _rowwise).
+_GROW_TARGET_S = 1e-3
+_GROW_MAX = 4
 
 
 def _usable_cpus() -> int:
@@ -157,35 +164,53 @@ if hasattr(os, "register_at_fork"):  # POSIX only
 
 
 def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.ndarray:
-    """``fn(rows, start, stop)`` of every slab of the partition ``p``, joined
-    in C-order into ``out`` (p.m rows), or into a new float array.
+    """``fn(rows, start, stop, dest)`` of every slab of the partition ``p``,
+    joined in C-order into ``out`` (p.m rows), or into a new float array.
 
-    Each slab of at most ``_SLAB_ROWS`` tags (``Partition.tag_slabs``) is
-    built where it is evaluated, so no (m, dim) tag array is made; ``fn``
-    gets the slab's tags, ``tags[start:stop]``, and its bounds, and its
-    result fills rows ``start:stop`` (a scalar is broadcast). The caller
-    evaluates the first slab, whose result is the whole when it is the only
-    slab and no ``out`` is given; a new output takes its trailing shape.
-    Then the caller and one ``riemannlab-slab`` thread per slot it takes
-    from ``_slots`` take the other slabs in order. Slots are taken without
-    waiting, at most one per slab beyond the caller's next: a sum that
-    finds none free (one nested in a handle, a concurrent caller's, any sum
-    with one usable CPU) takes every slab itself. Every helper is joined
-    before the result returns, and the exception of the lowest failing slab
-    propagates as raised.
+    Each slab (``Partition.tag_slabs``) is built where it is evaluated, so no
+    (m, dim) tag array is made. ``fn`` gets the slab's tags,
+    ``tags[start:stop]``, its bounds, and ``dest``: the output's rows
+    ``start:stop``, or None for the first slab of a new output. Its result
+    fills ``dest`` (a scalar is broadcast), unless it is ``dest`` itself,
+    which ``fn`` may fill in place. The caller evaluates the first slab, of
+    at most ``_SLAB_ROWS`` tags, alone and times it. Its result is the whole
+    when it is the only slab and no ``out`` is given; a new output takes its
+    trailing shape. The rest are cut again into runs of ``s`` times its rows,
+    ``s = min(_GROW_MAX, _GROW_TARGET_S / took)`` rounded down, whole blocks
+    of the same ``rows`` builder, when ``s`` is 2 or more and the rest holds
+    more than ``s`` slabs: a cheap integrand then pays a slab's fixed cost
+    less often, and a short sum, whose rest one grown slab would hold, keeps
+    its slabs and their memory. Then the caller and one ``riemannlab-slab``
+    thread per slot it takes from ``_slots`` take the other slabs in order.
+    Slots are taken without waiting, at most one per slab beyond the
+    caller's next: a sum that finds none free (one nested in a handle, a
+    concurrent caller's, any sum with one usable CPU) takes every slab
+    itself. Every helper is joined before the result returns, and the
+    exception of the lowest failing slab propagates as raised.
     """
     bounds, rows = p.tag_slabs(_SLAB_ROWS)
     first_stop = bounds[0][1]
-    first = np.asarray(fn(rows(0, first_stop), 0, first_stop), dtype=float)
+    dest = None if out is None else out[:first_stop]
+    began = time.perf_counter()
+    first = fn(rows(0, first_stop), 0, first_stop, dest)
+    took = time.perf_counter() - began
     if out is None:
+        first = np.asarray(first, dtype=float)
         if len(bounds) == 1:
             return first
         out = np.empty((p.m,) + first.shape[1:])
-    out[:first_stop] = first
-    del first
-    if len(bounds) == 1:
+        dest = out[:first_stop]
+    if first is not dest:
+        dest[...] = first
+    del first, dest
+    rest = bounds[1:]
+    if not rest:
         return out
-    slabs = iter(bounds[1:])
+    grow = int(min(_GROW_MAX, _GROW_TARGET_S / max(took, 1e-9)))  # 1 ns: the clock's tick
+    if len(rest) > grow > 1:  # the rest still makes two or more grown slabs
+        step = first_stop * grow  # first_stop is whole blocks: it is not the last slab
+        rest = [(start, min(start + step, p.m)) for start in range(first_stop, p.m, step)]
+    slabs = iter(rest)
     take = threading.Lock()
     failures = {}  # slab start -> its exception
 
@@ -198,8 +223,11 @@ def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.nd
             if slab is None:
                 return
             start, stop = slab
+            dest = out[start:stop]
             try:
-                out[start:stop] = np.asarray(fn(rows(start, stop), start, stop), float)
+                got = fn(rows(start, stop), start, stop, dest)
+                if got is not dest:
+                    dest[...] = got
             except Exception as exc:
                 failures[start] = exc
 
@@ -210,7 +238,7 @@ def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.nd
             _slots.release()
 
     helpers = []
-    while len(helpers) < len(bounds) - 2 and _slots.acquire(blocking=False):
+    while len(helpers) < len(rest) - 1 and _slots.acquire(blocking=False):
         helper = threading.Thread(target=help_drain, name="riemannlab-slab")
         try:
             helper.start()

@@ -10,8 +10,10 @@ region, line, surface and theorem-boundary sums only build row-wise
 integrands (a region's is f pulled back to its parameter box) and hand
 them to it, with the partitions they live on. It is the one place
 integrands are evaluated, at their tags in row slabs, and each slab's
-terms are built where it is evaluated, from its base or perturbed cell
-measures, into one m-term array, the only array of m entries a sum holds.
+terms are weighed where it is evaluated, by its base or perturbed cell
+measures, straight into its rows of one m-term array, the only array of m
+entries a sum holds. Equal base cells are weighed by one float, their
+measure multiplied in the per-cell order, so every term keeps its bits.
 It resolves deletion once over one index space (LargestTerm from each
 slab's own K largest), overwrites the deleted terms with -0.0, which
 changes no bit of a sum, and reduces to the correctly rounded,
@@ -141,10 +143,16 @@ def _deleted_indices(plan: DeletionPlan, m: int) -> np.ndarray:
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
+def _equal_measure(p: Partition) -> float | None:
+    """The one measure of all of ``p``'s cells, multiplied in
+    ``_cell_measures``' order so it has their bits, or None if they differ."""
+    return math.prod(w[0] for w in p.axis_widths) if p.is_equal else None
+
+
 def _is_equal(partitions) -> bool:
     """The pieces' cells all have one measure, as vanishing schedules ask."""
-    firsts = [math.prod(w[0] for w in p.axis_widths) for p in partitions]
-    return all(p.is_equal and f == firsts[0] for p, f in zip(partitions, firsts))
+    firsts = [_equal_measure(p) for p in partitions]
+    return firsts[0] is not None and all(f == firsts[0] for f in firsts)
 
 
 def pieces_sum(
@@ -159,13 +167,14 @@ def pieces_sum(
 
     ``integrands[i]``, row-wise on slabs of the tags of ``partitions[i]``, is
     evaluated once per tag (:func:`fields._rowwise`); the pieces form one
-    index space. Each slab's terms are built where it is evaluated, from its
-    cell measures (``geometry._cell_measures``), into the sum's one m-term
-    array. With ``degenerate`` the integrand returns the surface normal's
-    norm as a second column, and keeping a cell whose norm is 0 raises
-    DegenerateNormal. A bound ``plan`` and a ``perturbation`` are used as
-    given, in place of what ``spec`` would resolve; a perturbation must be
-    built from the one partition it weights. Otherwise ``spec`` selects the
+    index space. Each slab's terms are weighed where it is evaluated, by its
+    cell measures (``geometry._cell_measures``, or one float for equal base
+    cells), into its rows of the sum's one m-term array. With ``degenerate``
+    the integrand returns the surface normal's norm as a second column, and
+    keeping a cell whose norm is 0 raises DegenerateNormal. A bound ``plan``
+    and a ``perturbation`` are used as given, in place of what ``spec`` would
+    resolve; a perturbation must be built from the one partition it weights.
+    Otherwise ``spec`` selects the
     deleted indices and jitters piece i with seed ``spec.seed + i``.
     LargestTerm ranks |integrand x base measure|: each slab keeps its own K
     largest as candidates, and one :func:`select_indices` call picks the K
@@ -195,34 +204,38 @@ def pieces_sum(
     zero_norms = {}  # global slab start -> indices of its tags whose normal vanishes
 
     def slab_terms(i):
-        """Piece i's terms of a slab: integrand x base or perturbed measure."""
+        """Piece i's terms of a slab, integrand x base or perturbed measure,
+        written into the slab's rows of the sum's terms."""
         integrand, p, offset = integrands[i], partitions[i], offsets[i]
         weights = p if pps is None else pps[i]
+        cell = _equal_measure(p)
 
-        def terms(rows, start, stop):
+        def terms(rows, start, stop, dest):
             values = np.asarray(integrand(rows), float)
             if degenerate:  # columns: the integrand and the surface normal's norm
                 zero = np.flatnonzero(values[:, 1] == 0.0)
                 if zero.size:
                     zero_norms[offset + start] = offset + start + zero
                 values = values[:, 0]
-            if ranked:
-                base = values * _cell_measures(p.axis_widths, start, stop)
-                # A sum of one slab is ranked once, by select_indices.
-                picked = _largest(base, k if stop - start < m else m)
-                candidates[offset + start] = (offset + start + picked, base[picked])
+            if weights is p or ranked:
+                base = cell
+                if base is None:
+                    base = _cell_measures(p.axis_widths, start, stop)
+                base = np.multiply(values, base, out=dest)
+                if ranked:
+                    # A sum of one slab is ranked once, by select_indices.
+                    picked = _largest(base, k if stop - start < m else m)
+                    candidates[offset + start] = (offset + start + picked, base[picked])
                 if weights is p:
                     return base
-            return values * _cell_measures(weights.axis_widths, start, stop)
+            perturbed = _cell_measures(weights.axis_widths, start, stop)
+            return np.multiply(values, perturbed, out=dest)
 
         return terms
 
-    if len(partitions) == 1:  # a one-slab piece's terms are that slab's, uncopied
-        terms = _rowwise(slab_terms(0), partitions[0])
-    else:
-        terms = np.empty(m)
-        for i, p in enumerate(partitions):
-            _rowwise(slab_terms(i), p, terms[offsets[i] : offsets[i + 1]])
+    terms = np.empty(m)
+    for i, p in enumerate(partitions):
+        _rowwise(slab_terms(i), p, terms[offsets[i] : offsets[i + 1]])
     if plan is None and spec.deletes:
         at = ranked_terms = None
         if ranked:

@@ -1,7 +1,7 @@
 """Run the command-line front end in-process over a fixed matrix of inputs,
 and print one line: the run count, the exit-code tally and a sha256 digest.
 
-Usage: ``python tests/cli_matrix.py``
+Usage: ``python tests/cli_matrix.py [--grow on|off]``
 
 The matrix is every registered scenario under every variant, selector and tag
 rule at a small ``--m``; a few ``converge`` runs that write a CSV; four runs
@@ -9,16 +9,21 @@ above one evaluation slab (8192 cells), so that slabs and helper threads are
 used; and the inputs the front end refuses with exit code 2. Each run's argv,
 stdout, stderr, exit code and CSV bytes go into the digest. Two checkouts, or
 two CPU counts of one checkout (say, under ``taskset -c 0``), that print the
-same line gave the same bytes on every run. The script always imports the
+same line gave the same bytes on every run. ``--grow on`` or ``off`` forces
+the kernel's slab growth in-process (``fields._GROW_TARGET_S`` set to
+infinity or 0), where by default the first slab's measured cost decides; a
+run of each must print the default's line too. The script always imports the
 package from the checkout it belongs to. It has no ``test_`` prefix, so pytest
 does not collect it.
 """
 
+import argparse
 import collections
 import contextlib
 import hashlib
 import io
 import itertools
+import math
 import os
 import sys
 import tempfile
@@ -26,6 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from riemannlab import fields  # noqa: E402
 from riemannlab.cli import main  # noqa: E402
 from riemannlab.geometry import TAG_RULES  # noqa: E402
 from riemannlab.quadrature import VARIANTS  # noqa: E402
@@ -126,4 +132,10 @@ def digest_line() -> str:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="CLI byte matrix digest")
+    parser.add_argument("--grow", choices=("on", "off"),
+                        help="force the kernel's slab growth on or off")
+    grow = parser.parse_args().grow
+    if grow is not None:
+        fields._GROW_TARGET_S = math.inf if grow == "on" else 0.0
     print(digest_line())

@@ -267,7 +267,7 @@ class TestPullBack:
             for field, build in zip(fields, builders):
                 want = build(field, pc, p)(p.tags)
                 integrand = pull_back(field, pc, p)
-                slabbed = _rowwise(lambda rows, start, stop: integrand(rows), p)
+                slabbed = _rowwise(lambda rows, start, stop, dest: integrand(rows), p)
                 for got in (integrand(p.tags), slabbed):
                     case = (name, pc is flipped, rule, m, build.__name__)
                     assert got.shape == want.shape, case

@@ -652,7 +652,7 @@ class TestGridTags:
             assert got.shape == (b - a, p.dim) and got.tobytes() == tags[a:b].tobytes()
         assert p.tags.tobytes() == tags.tobytes()
         with mock.patch.object(fields, "_SLAB_ROWS", max_rows):
-            assert _rowwise(lambda q, start, stop: q, p).tobytes() == tags.tobytes()
+            assert _rowwise(lambda q, start, stop, dest: q, p).tobytes() == tags.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(slab_cases())

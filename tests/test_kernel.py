@@ -8,7 +8,9 @@ built from the partition it weights, and that LargestTerm ranks the one
 field evaluation the sum itself uses: every integrand sees each of its
 piece's tags exactly once per sum. LargestTerm keeps each slab's K largest
 base terms as candidates and picks the K from their union, which must be
-the K a whole-array ``select_indices`` picks.
+the K a whole-array ``select_indices`` picks. Sums also keep their bits
+when later slabs grow from a cheap first slab, and equal cells are weighed
+by one float with the bits of their per-cell measures.
 """
 
 import contextlib
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 
 from riemannlab import (
     Box,
+    DegenerateNormal,
+    DeletionPlan,
     DimensionMismatch,
     FixedK,
     InvalidParameter,
@@ -42,16 +46,20 @@ from riemannlab import (
     green_check,
     line_sum,
     make_uniform_partition,
+    neumaier_sum,
     perturb,
     quadrature,
     surface_sum,
+    swap_surface,
     variant_sum,
 )
 from riemannlab.curve_surface import pull_back
 from riemannlab.fields import _SLAB_ROWS, _usable_cpus
-from riemannlab.geometry import select_indices
+from riemannlab.geometry import _cell_measures, select_indices
 from riemannlab.quadrature import resolve_variant
 from riemannlab.scenarios import CIRCLE_2D, CUBE_REGION, IDENTITY_3D, ROTATION_2D, SPHERE, TWO_PI
+
+from oracles import mask_and_copy_sum
 
 SQUARE = Box(((0.0, 1.0), (0.0, 1.0)))
 CIRCLE_BOX = Box(((0.0, TWO_PI),))
@@ -303,13 +311,17 @@ def test_a_failing_jitter_raises_after_evaluation_and_selection():
 
 
 @contextlib.contextmanager
-def _slabs(rows: int, helpers: bool):
-    """Sums in slabs of ``rows`` tags, with every helper slot free or taken."""
+def _slabs(rows: int, helpers: bool, grow: bool | None = None):
+    """Sums whose first slab has ``rows`` tags, with every helper slot free or
+    taken, and the later slabs grown as the first slab's cost says (None),
+    always (True: every first slab is cheap) or never (False)."""
+    target = {None: fields._GROW_TARGET_S, True: math.inf, False: 0.0}[grow]
     taken = 0
     try:
         while not helpers and taken < _usable_cpus() and fields._slots.acquire(blocking=False):
             taken += 1
-        with mock.patch.object(fields, "_SLAB_ROWS", rows):
+        with mock.patch.object(fields, "_SLAB_ROWS", rows), \
+                mock.patch.object(fields, "_GROW_TARGET_S", target):
             yield
     finally:
         for _ in range(taken):
@@ -338,19 +350,21 @@ TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]
     st.lists(st.sampled_from(TIE_POOL), min_size=1, max_size=5),
     st.sampled_from([1, 3, 7, 64]),
     st.booleans(),
+    st.sampled_from([None, True, False]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_slab_candidates_pick_the_whole_array_k(m_and_k, power, pool, rows, helpers, seed):
-    """Few distinct values tie across slab edges; nan and inf rank as the
-    whole-array rule ranks them, and K may exceed a slab."""
+def test_slab_candidates_pick_the_whole_array_k(m_and_k, power, pool, rows, helpers, grow,
+                                                seed):
+    """Few distinct values tie across slab edges, grown slabs' included; nan
+    and inf rank as the whole-array rule ranks them, and K may exceed a slab."""
     m, k = m_and_k
     table = np.random.default_rng(seed).choice(np.array(pool), m)
     # Cell j of [0, m] has width 1.0 and its midpoint tag in [j, j + 1).
     p = make_uniform_partition(Box(((0.0, float(m)),)), m)
     f = ScalarField(1, lambda q: table[np.floor(q[..., 0]).astype(int)])
     schedule = PowerLaw(0.9) if power else FixedK(k)
-    with _slabs(rows, helpers), _picks() as picked:
+    with _slabs(rows, helpers, grow), _picks() as picked:
         try:
             variant_sum(f, p, VariantSpec("deleted", schedule, LargestTerm()))
         except NonFiniteSum:  # a kept nan or inf; the selection came first
@@ -396,3 +410,148 @@ def test_six_cube_faces_pick_the_whole_array_k(schedule, helpers):
     with mock.patch.object(fields, "_SLAB_ROWS", math.inf):
         whole = gauss_check(CUBE_FIELD, CUBE_REGION, interior, bps, boundary_spec=spec)
     assert _fields(slabbed.rhs) == _fields(whole.rhs)
+
+
+# --- slabs grown from the first slab's cost ------------------------------------
+
+BOX_MIXES = {  # the benchmark's six variant/selector mixes
+    "full": VariantSpec(),
+    "deleted-random": VariantSpec("deleted", FixedK(8), RandomPick(3)),
+    "deleted-largest": VariantSpec("deleted", FixedK(8), LargestTerm()),
+    "perturbed": VariantSpec("perturbed", gamma=0.5, seed=3),
+    "combined-random": VariantSpec("combined", FixedK(8), RandomPick(3), 0.5, 3),
+    "combined-largest": VariantSpec("combined", FixedK(8), LargestTerm(), 0.5, 3),
+}
+SMALL_SLABS = 97
+
+
+def _modes_agree(run, rows=(_SLAB_ROWS, SMALL_SLABS)):
+    """``run()`` gives in slabs of each of ``rows``, grown or not, with helper
+    slots free or taken, what it gives in one whole-array slab."""
+    with mock.patch.object(fields, "_SLAB_ROWS", math.inf):
+        whole = run()
+    for mode in [(r, h, g) for r in rows for h in (True, False) for g in (True, False)]:
+        with _slabs(*mode):
+            assert run() == whole, mode
+
+
+@pytest.mark.parametrize(
+    "counts", [(1024, 1024), (96, 96, 96), (211, 233), (37, 41, 43)], ids=str
+)
+@pytest.mark.parametrize("mix", sorted(BOX_MIXES))
+def test_grown_slabs_keep_the_bits_of_box_sums(mix, counts):
+    """The benchmark's fields and mixes: at its sizes in default slabs, and
+    at about 5 * 10^4 cells in small slabs as well."""
+    if len(counts) == 2:
+        f = ScalarField(2, lambda p: np.sin(p[..., 0]) * np.sin(p[..., 1]))
+    else:
+        f = ScalarField(3, lambda p: p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2] ** 2)
+    p = make_uniform_partition(Box(((0.0, 1.0),) * len(counts)), counts)
+    rows = (_SLAB_ROWS,) if p.m > 10**5 else (_SLAB_ROWS, SMALL_SLABS)
+    _modes_agree(lambda: _fields(variant_sum(f, p, BOX_MIXES[mix])), rows)
+
+
+def test_grown_slabs_keep_the_vanishing_normal_rule():
+    """With corner tags the swapped sphere's pole, where the normal vanishes,
+    is the first cell of each run of 40, so every slab holds some: a sum that
+    keeps them raises, and one that deletes them all has the same bits."""
+    surface = swap_surface(SPHERE)
+    p = make_uniform_partition(surface.domain, (1201, 40), "corner")
+    poles = tuple(range(0, p.m, 40))
+    plan = DeletionPlan(FixedK(len(poles)), Prefix(), poles)
+
+    def run():
+        with pytest.raises(DegenerateNormal):
+            surface_sum(SURFACE_FIELD, surface, p)
+        return _fields(surface_sum(SURFACE_FIELD, surface, p, plan=plan))
+
+    _modes_agree(run)
+
+
+def test_grown_slabs_keep_the_bits_of_six_cube_faces():
+    interior = make_uniform_partition(CUBE_REGION.param_box, 4)
+    bps = [make_uniform_partition(s.domain, 256, "random", seed=i)
+           for i, s in enumerate(CUBE_REGION.boundary)]  # eight slabs a face
+    spec = VariantSpec("combined", FixedK(4), LargestTerm(), gamma=0.4, seed=11)
+
+    def run():
+        report = gauss_check(CUBE_FIELD, CUBE_REGION, interior, bps, boundary_spec=spec)
+        return _fields(report.lhs), _fields(report.rhs)
+
+    _modes_agree(run)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_largest_term_ties_across_the_first_and_grown_slabs(k):
+    """Four equal greatest magnitudes straddle the edge between the first
+    slab and the first grown one, and four the edge after it; ties go to
+    the lowest index, whichever slab holds it."""
+    grown = _SLAB_ROWS * fields._GROW_MAX
+    m = _SLAB_ROWS + 3 * grown
+    table = np.ones(m)
+    for edge in (_SLAB_ROWS, _SLAB_ROWS + grown):
+        table[edge - 2 : edge + 2] = -4.0
+    # Cell j of [0, m] has width 1.0 and its midpoint tag in [j, j + 1).
+    p = make_uniform_partition(Box(((0.0, float(m)),)), m)
+    f = ScalarField(1, lambda q: table[np.floor(q[..., 0]).astype(int)])
+    spec = VariantSpec("deleted", FixedK(k), LargestTerm())
+    want = select_indices(FixedK(k), LargestTerm(), m, table)
+
+    def run():
+        with _picks() as picked:
+            bits = _fields(variant_sum(f, p, spec))
+        assert picked == [want]
+        return bits
+
+    _modes_agree(run, (_SLAB_ROWS,))
+
+
+# An inexact box in 2-D, and one in 3-D where (w0 * w1) * w2 != w0 * (w1 * w2).
+INEXACT = [
+    (((0.1, 0.7), (-1.3, 2.9)), (3, 7)),
+    (((0.1, 0.7), (-1.3, 2.9), (0.2, 1.7)), (3, 7, 11)),
+]
+
+
+def _measures_seen(monkeypatch):
+    """A list of the ``axis_widths`` the kernel builds cell measures from."""
+    seen = []
+
+    def recorded(widths, start, stop):
+        seen.append(widths)
+        return _cell_measures(widths, start, stop)
+
+    monkeypatch.setattr(quadrature, "_cell_measures", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("axes, counts", INEXACT, ids=["2-D", "3-D"])
+def test_equal_cells_weigh_by_one_measure_with_the_arrays_bits(axes, counts, monkeypatch):
+    p = make_uniform_partition(Box(axes), counts)
+    f = ScalarField(len(counts), lambda q: np.sin(q.sum(axis=-1)) + 2.0)
+    value, residual = neumaier_sum(np.asarray(f(p.tags)) * p.measures)
+    seen = _measures_seen(monkeypatch)
+    est = variant_sum(f, p)
+    assert seen == []  # one float, no per-cell measures
+    assert est.value.hex() == value.hex()
+    assert est.compensation_residual.hex() == residual.hex()
+
+
+@pytest.mark.parametrize("selector", [Prefix(), LargestTerm()], ids=["prefix", "largest"])
+@pytest.mark.parametrize("axes, counts", INEXACT, ids=["2-D", "3-D"])
+def test_a_perturbed_sum_weighs_by_its_perturbed_measures(axes, counts, selector,
+                                                          monkeypatch):
+    """Only base cells are ever weighed by one float; a combined LargestTerm
+    sum ranks by it and sums perturbed terms."""
+    p = make_uniform_partition(Box(axes), counts)
+    pp = perturb(p, 0.4, seed=5)
+    f = ScalarField(len(counts), lambda q: np.sin(q.sum(axis=-1)) + 2.0)
+    spec = VariantSpec("combined", FixedK(2), selector)
+    plan, _ = resolve_variant(spec, p, np.abs(np.asarray(f(p.tags)) * p.measures))
+    terms = np.asarray(f(p.tags)) * pp.measures
+    value, residual, _ = mask_and_copy_sum(terms, plan.resolved)
+    seen = _measures_seen(monkeypatch)
+    est = variant_sum(f, p, spec, perturbation=pp)
+    assert seen and all(widths is pp.axis_widths for widths in seen)
+    assert est.value.hex() == value.hex()
+    assert est.compensation_residual.hex() == residual.hex()

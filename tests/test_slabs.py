@@ -1,10 +1,11 @@
 """Slab-parallel integrand evaluation gives the bits of one whole-array call.
 
-``fields._rowwise`` splits a partition's cells into slabs of at most
-``_SLAB_ROWS`` tags and fills one output with helper threads; a partition's
-grid tags are built slab by slab. The reference is one call on the whole
-tag array, ``p.tags``; setting ``_SLAB_ROWS`` to infinity makes every
-evaluation one call, which the slabbed results must match bit for bit.
+``fields._rowwise`` splits a partition's cells into slabs, a first one of at
+most ``_SLAB_ROWS`` tags and later ones grown when the first was cheap, and
+fills one output with helper threads; a partition's grid tags are built slab
+by slab. The reference is one call on the whole tag array, ``p.tags``;
+setting ``_SLAB_ROWS`` to infinity makes every evaluation one call, which
+the slabbed results must match bit for bit.
 The theorem checks at the benchmark's resolutions must also match the same
 checks with their finite differences taken one offset at a time.
 """
@@ -64,7 +65,7 @@ def _vector(p):
 
 def _slabbed(fn, p):
     """``fn`` of every tag of ``p``, a slab at a time."""
-    return _rowwise(lambda rows, start, stop: fn(rows), p)
+    return _rowwise(lambda rows, start, stop, dest: fn(rows), p)
 
 
 def _random_tags(n, dim, seed=0, lo=-2.0, hi=2.0):
@@ -194,18 +195,22 @@ class SlabFailure(Exception):
 
 
 @pytest.mark.parametrize("first_bad", [0, 2])
-def test_lowest_failing_slab_propagates_as_raised(first_bad):
-    # Cell k of a unit-width row has its random tag in [k, k + 1).
-    p = _random_tags(5 * _SLAB_ROWS, 1, lo=0.0, hi=5.0 * _SLAB_ROWS)
+def test_lowest_failing_slab_propagates_as_raised(first_bad, monkeypatch):
+    # Cell k of a unit-width row has its random tag in [k, k + 1). Grown,
+    # the second slab holds blocks 1 to 4 of 8192 rows.
+    p = _random_tags(6 * _SLAB_ROWS, 1, lo=0.0, hi=6.0 * _SLAB_ROWS)
 
-    def fn(q):
-        slab = int(q[0, 0]) // _SLAB_ROWS
-        if slab >= first_bad:
-            raise SlabFailure(f"slab {slab}")
+    def fn(q):  # row-wise: any row of a block from first_bad on fails
+        blocks = q[:, 0] // _SLAB_ROWS
+        bad = blocks[blocks >= first_bad]
+        if bad.size:
+            raise SlabFailure(f"block {int(bad.min())}")
         return q[:, 0]
 
-    with pytest.raises(SlabFailure, match=f"^slab {first_bad}$"):
-        _slabbed(fn, p)
+    for target in (math.inf, 0.0):  # later slabs grown, or 8192 rows as the first
+        monkeypatch.setattr(fields, "_GROW_TARGET_S", target)
+        with pytest.raises(SlabFailure, match=f"^block {first_bad}$"):
+            _slabbed(fn, p)
 
 
 def _helpers_at_work(*fns):
@@ -238,6 +243,23 @@ def _helpers_at_work(*fns):
     return [wrap(fn) for fn in fns], most
 
 
+def _helper_starts(monkeypatch):
+    """A list of every ``riemannlab-slab`` thread started, with slab growth
+    off, so that inputs of a few ``_SLAB_ROWS`` keep their slabs and their
+    helpers."""
+    monkeypatch.setattr(fields, "_GROW_TARGET_S", 0.0)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        if thread.name == "riemannlab-slab":
+            started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
 def _free_slots() -> int:
     taken = 0
     while taken < _usable_cpus() and fields._slots.acquire(blocking=False):
@@ -247,7 +269,8 @@ def _free_slots() -> int:
     return taken
 
 
-def test_concurrent_callers_never_run_more_helpers_than_spare_cpus():
+def test_concurrent_callers_never_run_more_helpers_than_spare_cpus(monkeypatch):
+    started = _helper_starts(monkeypatch)
     (counted,), most = _helpers_at_work(_scalar)
     inputs = [_random_tags(3 * _SLAB_ROWS + i, 2, seed=i)
               for i in range(2 * _usable_cpus() + 2)]  # more callers than cores
@@ -270,12 +293,14 @@ def test_concurrent_callers_never_run_more_helpers_than_spare_cpus():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert most[0] <= _usable_cpus() - 1
+    assert started or _usable_cpus() < 2
     for p, got in zip(inputs, results):
         assert got.tobytes() == _scalar(p.tags).tobytes()
     assert _free_slots() == _usable_cpus() - 1
 
 
-def test_a_handle_that_sums_in_a_helper_thread_returns():
+def test_a_handle_that_sums_in_a_helper_thread_returns(monkeypatch):
+    started = _helper_starts(monkeypatch)
     inner_p = make_uniform_partition(Box(((0.0, 1.0),)), 3 * _SLAB_ROWS + 1)  # 4 slabs
 
     def handle(p):  # every outer slab runs a slabbed sum of its own
@@ -294,15 +319,18 @@ def test_a_handle_that_sums_in_a_helper_thread_returns():
     runner.join(timeout=60)
     assert not runner.is_alive(), "nested slab evaluation deadlocked"
     assert most[0] <= _usable_cpus() - 1
+    assert started or _usable_cpus() < 2
     inner = variant_sum(inner_f, inner_p).value
     expected = math.fsum((outer.tags[:, 0] * inner * outer.measures).tolist())
     assert result[0].value == expected
 
 
 def test_no_helper_thread_outlives_its_sum(monkeypatch):
+    started = _helper_starts(monkeypatch)
     f = ScalarField(2, _scalar)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
     value = variant_sum(f, p).value
+    assert started or _usable_cpus() < 2
     assert not [t for t in threading.enumerate() if t.name.startswith("riemannlab-slab")]
     assert _free_slots() == _usable_cpus() - 1
 
@@ -315,16 +343,18 @@ def test_no_helper_thread_outlives_its_sum(monkeypatch):
     assert _free_slots() == _usable_cpus() - 1
 
 
-def _send_child_sum(conn, f, p):
+def _send_child_sum(conn, f, p, started):
+    before = len(started)
     value = variant_sum(f, p).value.hex()
-    conn.send((_free_slots(), value))
+    conn.send((_free_slots(), value, len(started) - before))
     conn.close()
 
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
-def test_a_forked_child_sums_the_same_with_every_slot_free():
+def test_a_forked_child_sums_the_same_with_every_slot_free(monkeypatch):
+    started = _helper_starts(monkeypatch)
     f = ScalarField(2, _scalar)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
     value = variant_sum(f, p).value.hex()
@@ -334,7 +364,7 @@ def test_a_forked_child_sums_the_same_with_every_slot_free():
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     try:
-        child = ctx.Process(target=_send_child_sum, args=(send, f, p), daemon=True)
+        child = ctx.Process(target=_send_child_sum, args=(send, f, p, started), daemon=True)
         child.start()
     finally:
         for _ in range(held):
@@ -342,7 +372,7 @@ def test_a_forked_child_sums_the_same_with_every_slot_free():
     send.close()
     try:
         assert receive.poll(60), "the forked child sent nothing within 60 s"
-        child_slots, child_value = receive.recv()
+        child_slots, child_value, child_helpers = receive.recv()
     finally:
         child.join(timeout=60)
         if child.is_alive():
@@ -350,6 +380,7 @@ def test_a_forked_child_sums_the_same_with_every_slot_free():
     assert child.exitcode == 0
     assert child_slots == _usable_cpus() - 1, "the child kept the parent's taken slots"
     assert child_value == value
+    assert child_helpers or _usable_cpus() < 2
 
 
 # --- the theorem checks at the benchmark's resolutions ---------------------------
