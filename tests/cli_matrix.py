@@ -4,9 +4,10 @@ and print one line: the run count, the exit-code tally and a sha256 digest.
 Usage: ``python tests/cli_matrix.py [--grow on|off]``
 
 The matrix is every registered scenario under every variant, selector and tag
-rule at a small ``--m``; a few ``converge`` runs that write a CSV; four runs
+rule at a small ``--m``; a few ``converge`` runs that write a CSV; five runs
 above one evaluation slab (8192 cells), so that slabs and helper threads are
-used; and the inputs the front end refuses with exit code 2. Each run's argv,
+used, one of them with enough slabs that ``--grow on`` grows them; and the
+inputs the front end refuses with exit code 2. Each run's argv,
 stdout, stderr, exit code and CSV bytes go into the digest. Two checkouts, or
 two CPU counts of one checkout (say, under ``taskset -c 0``), that print the
 same line gave the same bytes on every run. ``--grow on`` or ``off`` forces
@@ -59,6 +60,8 @@ SLABBED = [
     ["verify", "gauss.ball.identity", "--m", "24", "--variant", "deleted",
      "--selector", "largest"],
     ["verify", "stokes.hemisphere.rotation", "--m", "96", "--variant", "perturbed"],
+    # 48^3 cells: 16 slabs of 6912, so the rest of the first slab grows
+    ["integrate", "box.poly.3d", "--m", "48"],
 ]
 
 REFUSED = [

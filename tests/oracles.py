@@ -10,7 +10,8 @@ compare analytic derivative handles with finite differences of the
 handles they differentiate. Earlier library forms are kept as references
 for the forms that replaced them: the region pull-back as a field of its
 own, the four line and surface integrand builders, the Stokes probe's curl
-as a stored field, and the reduction in one whole-array pass.
+as a stored field, the reduction in one whole-array pass, and the
+4th-order finite-difference stencil.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from riemannlab import (
     ScalarField,
     VectorField,
 )
-from riemannlab.fields import _FD4_OFFSETS, _FD4_WEIGHTS, _fd_partial
+from riemannlab.fields import _FD_OFFSETS, _FD_WEIGHTS, _fd_partial
 from riemannlab.summation import neumaier_sum
 
 
@@ -465,14 +466,28 @@ def _sample_box(box: Box, n: int, seed: int) -> np.ndarray:
 
 
 def per_offset_fd_partial(fn, x: np.ndarray, axis: int, component=None):
-    """The 4th-order central difference one offset at a time: a copy of the
+    """The library's central difference one offset at a time: a copy of the
     points and a call of ``fn`` per offset, every component weighted, and
     ``component`` taken from the whole partial."""
+    return _offset_fd_partial(fn, x, axis, component, _FD_OFFSETS, _FD_WEIGHTS)
+
+
+def four_point_fd_partial(fn, x: np.ndarray, axis: int, component=None):
+    """The 4th-order central difference the library used before its two-point
+    stencil (offsets -2, -1, 1, 2 times the same step h), kept as the
+    accuracy reference the two-point stencil must not fall behind."""
+    return _offset_fd_partial(
+        fn, x, axis, component, (-2.0, -1.0, 1.0, 2.0),
+        (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0),
+    )
+
+
+def _offset_fd_partial(fn, x, axis, component, offsets, weights):
     if component is not None:
-        return per_offset_fd_partial(fn, x, axis)[..., component]
+        return _offset_fd_partial(fn, x, axis, None, offsets, weights)[..., component]
     h = np.maximum(1e-6, 1e-6 * np.abs(x[..., axis]))
     acc = None
-    for off, w in zip(_FD4_OFFSETS, _FD4_WEIGHTS):
+    for off, w in zip(offsets, weights):
         shifted = x.copy()
         shifted[..., axis] = x[..., axis] + off * h
         val = np.asarray(fn(shifted), dtype=float) * w

@@ -10,6 +10,7 @@ from riemannlab import (
     VectorField,
     curl,
     divergence,
+    fields,
     gradient,
     plane_curl,
     reverse_path,
@@ -33,6 +34,7 @@ from riemannlab.scenarios import (
 from riemannlab.fields import _fd_partial
 
 from oracles import (
+    four_point_fd_partial,
     gradient_deviation,
     min_interior_normal,
     path_velocity_deviation,
@@ -236,12 +238,12 @@ class _Counted:
 
 class TestDifferenceCalls:
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (777, 3)], ids=str)
-    def test_one_call_on_four_shifted_copies(self, shape):
+    def test_one_call_on_two_shifted_copies(self, shape):
         x = np.random.default_rng(0).random(shape)
         fn = _Counted(_transcendental)
         _fd_partial(fn, x, 1)
         _fd_partial(fn, x, 2, 0)
-        rows = 4 * (x.size // 3)
+        rows = 2 * (x.size // 3)
         assert fn.shapes == [(rows, 3), (rows, 3)]
 
     def test_one_call_per_axis(self):
@@ -249,11 +251,124 @@ class TestDifferenceCalls:
         for op, dim, calls in ((divergence, 3, 3), (curl, 3, 3), (plane_curl, 2, 2)):
             fn = _Counted(_transcendental)
             op(VectorField(dim, dim, fn), x[:, :dim])
-            assert fn.shapes == [(200, dim)] * calls
+            assert fn.shapes == [(100, dim)] * calls
         for dim in (1, 2, 3):
             fn = _Counted(lambda p: p[..., 0] * p[..., -1])
             gradient(ScalarField(dim, fn), x[:, :dim])
-            assert fn.shapes == [(200, dim)] * dim
+            assert fn.shapes == [(100, dim)] * dim
+
+    @given(_points(), st.integers(0, 2))
+    @example(np.array([[0.3, -1e6, 1e-9], [-0.0, 0.0, 7.5]]), 0)
+    @settings(max_examples=60, deadline=None)
+    def test_points_lie_within_one_step_of_their_tag(self, x, axis):
+        axis %= x.shape[-1]
+        seen = []
+        _fd_partial(lambda p: seen.append(p.copy()) or p, x, axis)
+        (stack,) = seen
+        h = np.maximum(1e-6, 1e-6 * np.abs(x[..., axis]))
+        reach = h + np.spacing(np.abs(x[..., axis]) + h)  # x +- h is rounded
+        others = [a for a in range(x.shape[-1]) if a != axis]
+        for copy in stack.reshape((-1,) + x.shape):
+            assert np.all(np.abs(copy[..., axis] - x[..., axis]) <= reach)
+            assert _bits(copy[..., others]) == _bits(x[..., others])
+
+
+# The theorem-fd benchmark's fields, which have no div or curl handles, with
+# their derivatives worked by hand, and one scalar field with its gradient.
+def _green_field(p):
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([-np.sin(y) * np.exp(0.5 * x), x * np.cos(y) + np.sin(x * y)], axis=-1)
+
+
+def _green_plane_curl(p):
+    x, y = p[..., 0], p[..., 1]
+    return np.cos(y) + y * np.cos(x * y) + np.cos(y) * np.exp(0.5 * x)
+
+
+def _gauss_field(p):
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack(
+        [np.sin(y) + x * np.cos(z), np.exp(0.5 * z) * y, np.sin(x * y) + z * z], axis=-1
+    )
+
+
+def _gauss_divergence(p):
+    z = p[..., 2]
+    return np.cos(z) + np.exp(0.5 * z) + 2.0 * z
+
+
+def _stokes_field(p):
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack([-y * np.exp(0.5 * z), x * np.cos(z), np.sin(x * y)], axis=-1)
+
+
+def _stokes_curl(p):
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack(
+        [
+            x * np.cos(x * y) + x * np.sin(z),
+            -0.5 * y * np.exp(0.5 * z) - y * np.cos(x * y),
+            np.cos(z) + np.exp(0.5 * z),
+        ],
+        axis=-1,
+    )
+
+
+def _scalar_field(p):
+    x, y = p[..., 0], p[..., 1]
+    return np.sin(x) * np.exp(0.5 * y) + x * y * y
+
+
+def _scalar_gradient(p):
+    x, y = p[..., 0], p[..., 1]
+    e = np.exp(0.5 * y)
+    return np.stack([np.cos(x) * e + y * y, 0.5 * np.sin(x) * e + 2.0 * x * y], axis=-1)
+
+
+ANALYTIC = {  # name -> (operator, field, input dimension, analytic result)
+    "green": (plane_curl, VectorField(2, 2, _green_field), 2, _green_plane_curl),
+    "gauss": (divergence, VectorField(3, 3, _gauss_field), 3, _gauss_divergence),
+    "stokes": (curl, VectorField(3, 3, _stokes_field), 3, _stokes_curl),
+    "scalar": (gradient, ScalarField(2, _scalar_field), 2, _scalar_gradient),
+}
+
+
+def _max_errors(name, scale, monkeypatch):
+    """Max |error| against the analytic derivative of the library's stencil
+    and of the 4th-order reference, and max |analytic|, on 2000 seeded
+    uniform points in [-scale, scale]^n."""
+    op, field, dim, exact = ANALYTIC[name]
+    x = scale * (2.0 * np.random.default_rng(0).random((2000, dim)) - 1.0)
+    want = exact(x)
+    two = np.max(np.abs(op(field, x) - want))
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "_fd_partial", four_point_fd_partial)
+        four = np.max(np.abs(op(field, x) - want))
+    return two, four, np.max(np.abs(want))
+
+
+class TestStencilAccuracy:
+    """The two-point stencil against the 4th-order one at the same step."""
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
+    @pytest.mark.parametrize("name", sorted(ANALYTIC))
+    def test_no_farther_from_the_analytic_derivative(self, name, scale, monkeypatch, request):
+        if (name, scale) == ("green", 10.0):
+            # At scale 10 the step is h = 1e-5, and the two-point truncation
+            # error h**2 |f'''| / 6 passes the rounding error where
+            # |f'''| / |f| exceeds about 3 eps / h**3 = 0.66: Q's sin(xy)
+            # has d3/dx3 = -y**3 cos(xy), up to 1e3 in magnitude there.
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="two-point truncation passes rounding at h = 1e-5"
+            ))
+        two, four, _ = _max_errors(name, scale, monkeypatch)
+        assert two <= four
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 10.0])
+    @pytest.mark.parametrize("name", sorted(ANALYTIC))
+    def test_far_below_every_gap_tolerance(self, name, scale, monkeypatch):
+        two, _, largest = _max_errors(name, scale, monkeypatch)
+        assert two <= 1e-9 * (1.0 + largest)
 
 
 class TestRegisteredFieldInvariants:
