@@ -30,10 +30,11 @@ class TooFewCells(RiemannLabError, ValueError):
 
 
 class InvalidParameter(RiemannLabError, ValueError):
-    """A parameter is out of range or unknown: a gamma outside [0, 1), K < 1, a
-    beta outside (0, 1), a seed that is not a non-negative integer, a tag rule
-    or variant label, explicit tags of the wrong shape or outside their cells,
-    or a scenario name registered twice."""
+    """A parameter is out of range or unknown: a gamma outside [0, 1), a K that
+    is not an integer >= 1, a beta outside (0, 1), a seed that is not a
+    non-negative integer, a deleted index set that is not 1-D integers, a tag
+    rule or variant label, explicit tags of the wrong shape or outside their
+    cells, or a scenario name registered twice."""
 
 
 class NonFiniteSum(RiemannLabError, ValueError):

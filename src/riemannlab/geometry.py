@@ -515,11 +515,15 @@ def swap_axes_partition(p: Partition) -> Partition:
 
 @dataclass(frozen=True)
 class FixedK:
-    """Delete a fixed number of terms (clause-i schedules)."""
+    """Delete a fixed number of terms (clause-i schedules): an integer K >= 1."""
 
     k: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            raise InvalidParameter(f"K must be an integer, got {self.k!r}") from None
         if self.k < 1:
             raise InvalidParameter("K must be >= 1")
 
@@ -576,17 +580,31 @@ def schedule_count(schedule: Schedule, m: int) -> int:
     return max(1, min(k, m - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeletionPlan:
     """Which sum terms are dropped: a size schedule plus an index selector.
 
-    ``resolved`` is the 0-based, ascending index set once the plan is bound
-    to a concrete partition; it is None for an unbound plan.
+    ``resolved``, None for an unbound plan, is the 0-based deleted index set: a
+    read-only, ascending int64 array, normalised at construction (a hand-built
+    set is sorted and its repeats dropped; one not 1-D integers is refused).
     """
 
     schedule: Schedule
     selector: Selector = Prefix()
-    resolved: tuple[int, ...] | None = None
+    resolved: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.resolved is not None:
+            idx = np.asarray(self.resolved)  # () is float64, and passes empty
+            if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+                raise InvalidParameter(
+                    f"deleted indices must be 1-D integers, got {idx.ndim}-D {idx.dtype}"
+                )
+            idx = idx.astype(np.int64, copy=False)
+            if not np.all(idx[1:] > idx[:-1]):  # a selector's array is taken as it is
+                idx = np.sort(idx)  # np.unique would import numpy.ma (1 MB)
+                idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+            object.__setattr__(self, "resolved", _read_only(idx))
 
 
 def _largest(terms: np.ndarray, k: int) -> np.ndarray:
@@ -611,8 +629,9 @@ def select_indices(
     terms=None,
     is_equal: bool = True,
     at=None,
-) -> tuple[int, ...]:
-    """Resolve a deleted index set over ``m`` terms (0-based, ascending).
+) -> np.ndarray:
+    """Resolve a deleted index set over ``m`` terms: 0-based, in the read-only,
+    ascending int64 array that ``DeletionPlan.resolved`` holds.
 
     Vanishing schedules (PowerLaw, Logarithmic) demand ``is_equal``,
     matching the theorems' clause-ii/iii equal-partition hypotheses.
@@ -642,14 +661,14 @@ def select_indices(
             indices = np.asarray(at)[indices]
     else:
         raise TypeError(f"unknown selector {selector!r}")
-    return tuple(indices.tolist())
+    return _read_only(indices)
 
 
 def bind_deletion(plan: DeletionPlan, p: Partition, terms=None) -> DeletionPlan:
     """Resolve a plan's index set against a concrete partition.
 
     ``terms`` (per-cell term magnitudes) is required for the LargestTerm
-    selector.
+    selector. ``resolved`` holds :func:`select_indices`' array as it is.
     """
     resolved = select_indices(
         plan.schedule, plan.selector, p.m, terms=terms, is_equal=p.is_equal

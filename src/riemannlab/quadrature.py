@@ -130,17 +130,13 @@ FULL = VariantSpec()
 
 
 def _deleted_indices(plan: DeletionPlan, m: int) -> np.ndarray:
-    """A bound plan's deleted indices, checked against ``m`` terms, each once
-    and ascending."""
-    if plan.resolved is None:
+    """A bound plan's ascending deleted indices, checked against ``m`` terms."""
+    idx = plan.resolved
+    if idx is None:
         raise UnboundPlan("deletion plan must be bound to the partition first")
-    idx = np.asarray(plan.resolved, dtype=int)
-    if len(idx) == 0 or len(idx) >= m or idx.min() < 0 or idx.max() >= m:
+    if len(idx) == 0 or len(idx) >= m or idx[0] < 0 or idx[-1] >= m:
         raise UnboundPlan(f"resolved index set invalid for m={m}")
-    # Sorted, repeats dropped: np.unique, without the numpy.ma import (1 MB)
-    # that np.unique makes on its first call.
-    idx = np.sort(idx)
-    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+    return idx
 
 
 def _equal_measure(p: Partition) -> float | None:
@@ -174,8 +170,9 @@ def pieces_sum(
     keeping a cell whose norm is 0 raises DegenerateNormal. A bound ``plan``
     and a ``perturbation`` are used as given, in place of what ``spec`` would
     resolve; a perturbation must be built from the one partition it weights.
-    Otherwise ``spec`` selects the
-    deleted indices and jitters piece i with seed ``spec.seed + i``.
+    A plan's ``resolved``, a read-only, ascending int64 array normalised at
+    construction, is read as it is. Otherwise ``spec`` selects the deleted
+    indices and jitters piece i with seed ``spec.seed + i``.
     LargestTerm ranks |integrand x base measure|: each slab keeps its own K
     largest as candidates, and one :func:`select_indices` call picks the K
     from their union. No pieces (a region declared without boundary, say)
@@ -248,18 +245,16 @@ def pieces_sum(
         plan = DeletionPlan(spec.schedule, spec.selector, indices)
     if unweighted is not None:
         raise unweighted
-    deleted = 0
     if plan is not None:
-        idx = _deleted_indices(plan, m)
-        terms[idx] = -0.0  # x + (-0.0) == x for every float x, ±0 included
-        deleted = len(idx)
+        terms[_deleted_indices(plan, m)] = -0.0  # x + (-0.0) == x for every x, ±0 included
     if zero_norms:
         zero = np.concatenate(list(zero_norms.values()))
         if plan is not None:
-            zero = zero[~np.isin(zero, idx)]
+            zero = zero[~np.isin(zero, plan.resolved)]
         if zero.size:
             raise DegenerateNormal("surface normal vanishes at a used tag")
     value, resid = neumaier_sum(terms)
+    deleted = 0 if plan is None else len(plan.resolved)
     symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)
     # VARIANTS is ordered full, deleted, perturbed, combined.
     variant = VARIANTS[(plan is not None) + 2 * (pps is not None)]

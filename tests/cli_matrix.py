@@ -4,18 +4,18 @@ and print one line: the run count, the exit-code tally and a sha256 digest.
 Usage: ``python tests/cli_matrix.py [--grow on|off]``
 
 The matrix is every registered scenario under every variant, selector and tag
-rule at a small ``--m``; a few ``converge`` runs that write a CSV; five runs
+rule at a small ``--m``; a few ``converge`` runs that write a CSV; eight runs
 above one evaluation slab (8192 cells), so that slabs and helper threads are
-used, one of them with enough slabs that ``--grow on`` grows them; and the
-inputs the front end refuses with exit code 2. Each run's argv,
-stdout, stderr, exit code and CSV bytes go into the digest. Two checkouts, or
-two CPU counts of one checkout (say, under ``taskset -c 0``), that print the
-same line gave the same bytes on every run. ``--grow on`` or ``off`` forces
-the kernel's slab growth in-process (``fields._GROW_TARGET_S`` set to
-infinity or 0), where by default the first slab's measured cost decides; a
-run of each must print the default's line too. The script always imports the
-package from the checkout it belongs to. It has no ``test_`` prefix, so pytest
-does not collect it.
+used, one of them with enough slabs that ``--grow on`` grows them and three
+that delete K = 37,640 of 65,536 terms; and the inputs the front end refuses
+with exit code 2. Each run's argv, stdout, stderr, exit code and CSV bytes go
+into the digest. Two checkouts, or two CPU counts of one checkout (say, under
+``taskset -c 0``), that print the same line gave the same bytes on every run.
+``--grow on`` or ``off`` forces the kernel's slab growth in-process
+(``fields._GROW_TARGET_S`` set to infinity or 0), where by default the first
+slab's measured cost decides; a run of each must print the default's line too.
+The script always imports the package from the checkout it belongs to. It has
+no ``test_`` prefix, so pytest does not collect it.
 """
 
 import argparse
@@ -62,6 +62,9 @@ SLABBED = [
     ["verify", "stokes.hemisphere.rotation", "--m", "96", "--variant", "perturbed"],
     # 48^3 cells: 16 slabs of 6912, so the rest of the first slab grows
     ["integrate", "box.poly.3d", "--m", "48"],
+    # 256^2 cells in 8 slabs, K = 37,640: a big deletion by each selector
+    *(["integrate", "box.sinprod.2d", "--m", "256", "--variant", "combined",
+       "--k-schedule", "pow:0.95", "--selector", selector] for selector in SELECTORS),
 ]
 
 REFUSED = [

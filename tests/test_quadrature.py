@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from riemannlab import (
     DeletionPlan,
     DimensionMismatch,
     FixedK,
+    InvalidParameter,
     LargestTerm,
     ParametricRegion,
     PowerLaw,
@@ -100,7 +102,8 @@ class TestDeletedSum:
 @st.composite
 def explicit_plans(draw):
     """A 1-3 D random-tag partition with up to a few thousand cells, a
-    polynomial field on it, and a bound plan whose indices may come in any
+    polynomial field on it, and a hand-built deleted index set, in a tuple, a
+    list or an int32, int64 or uint16 array, whose indices may come in any
     order and repeat (fewer entries than cells, as a plan must have)."""
     dim = draw(st.integers(1, 3))
     top = {1: 3000, 2: 60, 3: 14}[dim]
@@ -115,7 +118,9 @@ def explicit_plans(draw):
     fn, _ = random_poly_scalar(rng, dim, axes)
     size = draw(st.integers(1, min(m - 1, 64)))
     picks = draw(st.lists(st.integers(0, m - 1), min_size=size, max_size=size))
-    return ScalarField(dim, fn), p, DeletionPlan(FixedK(size), Prefix(), tuple(picks))
+    container = draw(st.sampled_from([tuple, list, np.int32, np.int64, np.uint16]))
+    picks = container(picks) if container in (tuple, list) else np.array(picks, container)
+    return ScalarField(dim, fn), p, picks
 
 
 class TestDeletionByIndex:
@@ -125,20 +130,35 @@ class TestDeletionByIndex:
     @settings(max_examples=150, deadline=None)
     @given(explicit_plans(), st.floats(0.0, 0.9) | st.none())
     def test_explicit_plans_match_mask_and_copy(self, case, gamma):
-        f, p, plan = case
-        pp = None if gamma is None else perturb(p, gamma, seed=len(plan.resolved))
+        f, p, picks = case
+        plan = DeletionPlan(FixedK(len(picks)), Prefix(), picks)
+        idx = plan.resolved
+        assert idx.dtype == np.int64 and not idx.flags.writeable
+        assert np.all(idx[1:] > idx[:-1])
+        pp = None if gamma is None else perturb(p, gamma, seed=len(idx))
         est = variant_sum(f, p, plan=plan, perturbation=pp)
         terms = np.asarray(f(p.tags), dtype=float) * (p if pp is None else pp).measures
-        value, residual, deleted = mask_and_copy_sum(terms, plan.resolved)
+        value, residual, deleted = mask_and_copy_sum(terms, picks)
         assert est.value.hex() == value.hex()
         assert est.compensation_residual.hex() == residual.hex()
-        assert est.deleted_count == deleted == len(set(plan.resolved))
+        assert est.deleted_count == deleted == len(set(np.asarray(picks).tolist()))
         assert est.variant == ("deleted" if pp is None else "combined")
 
     def test_repeated_unsorted_indices_delete_each_cell_once(self):
         p = make_uniform_partition(UNIT, 4)
         est = variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(2), Prefix(), (3, 1, 3)))
         assert (est.value, est.deleted_count, est.variant) == (0.5, 2, "deleted")
+        # Repeats count once toward K < m: three distinct cells of four.
+        est = variant_sum(ONE_1D, p, plan=DeletionPlan(FixedK(3), Prefix(), (0, 0, 1, 2)))
+        assert (est.value, est.deleted_count) == (0.25, 3)
+
+    @pytest.mark.parametrize(
+        "resolved", [(1.5,), ("1",), (True,), (np.float64(2.7),), ((0, 1), (2, 3))],
+        ids=["float", "str", "bool", "numpy-float", "2-D"],
+    )
+    def test_index_sets_of_other_than_1d_integers_are_refused(self, resolved):
+        with pytest.raises(InvalidParameter, match="deleted indices must be 1-D integers"):
+            DeletionPlan(FixedK(1), Prefix(), resolved)
 
     @pytest.mark.parametrize("selector", [Prefix(), RandomPick(5)], ids=["prefix", "random"])
     def test_a_big_deletion_counts_each_of_its_k_cells(self, selector):
@@ -147,7 +167,34 @@ class TestDeletionByIndex:
         est = variant_sum(ScalarField(2, lambda q: q[..., 0]), p, spec)
         assert est.deleted_count == schedule_count(PowerLaw(0.95), p.m) == 524_287
 
-    @pytest.mark.parametrize("resolved", [(), (0, 1, 2, 3), (-1,), (4,), (0, 0, 1, 2)])
+    @pytest.mark.parametrize("selector", [Prefix(), RandomPick(5)], ids=["prefix", "random"])
+    def test_a_big_deletion_peaks_at_the_full_sum_and_its_k_indices(self, selector):
+        """tracemalloc peaks of one process: a deleted sum holds what the full
+        sum holds and its K indices, 8·K bytes. RandomPick adds the peak of
+        ``Generator.choice`` without replacement, measured at 8·m + 8·K bytes
+        (a permutation of all m indices, then a copy of K of them; 12 MiB
+        here). The margin, 1 MiB, holds the strict-increase check's K-byte
+        mask. Nothing is timed."""
+        p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 1.0))), 1024)
+        f = ScalarField(2, lambda q: q[..., 0])
+        k = schedule_count(PowerLaw(0.95), p.m)
+
+        def peak(spec):
+            variant_sum(f, p, spec)  # numpy's first-call allocations, untraced
+            tracemalloc.start()
+            try:
+                variant_sum(f, p, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        full = peak(VariantSpec())
+        choice = 8 * p.m + 8 * k if isinstance(selector, RandomPick) else 0
+        assert peak(VariantSpec("deleted", PowerLaw(0.95), selector)) <= (
+            full + 8 * k + choice + 2**20
+        )
+
+    @pytest.mark.parametrize("resolved", [(), (0, 1, 2, 3), (-1,), (4,), (0, 1, 1, 2, 3)])
     def test_invalid_index_sets_are_unbound(self, resolved):
         p = make_uniform_partition(UNIT, 4)
         with pytest.raises(UnboundPlan, match="invalid for m=4"):
