@@ -13,14 +13,15 @@ integrand at a partition's tags with :func:`_rowwise`: in C-order slabs, each
 built where it is evaluated. The caller times the first slab, of at most
 ``_SLAB_ROWS`` tags; when it was cheap and many slabs are left, the later
 slabs are up to ``_GROW_MAX`` times as long, so their fixed cost per slab is
-paid less often. The caller and helper threads that live for that one evaluation share
-the later slabs. The kernel's slab function gets a slab's tags, its bounds
-and its rows of the output, so it can weight the slab by its own cell
-measures straight into one output array. The process never runs more
-helpers than it has usable CPUs besides the caller, and a sum that finds
-every helper slot taken runs its slabs itself. Row-wise results do not
-depend on where a slab starts, so the values do not depend on the slab
-bounds, the thread count, the first slab's timing or the schedule.
+paid less often. The caller and helper threads that live for that one
+evaluation share the later slabs. The kernel's slab function gets a slab's
+tags, its bounds and its rows of the output, so it can weight the slab by
+its own cell measures straight into one output array. Helpers come from the
+process's one pool (:mod:`riemannlab._pool`), which the reductions share: a
+sum that finds every slot taken runs its slabs itself, and every helper
+runs under its caller's numpy error state. Row-wise results do not depend
+on where a slab starts, so the values do not depend on the slab bounds, the
+thread count, the first slab's timing or the schedule.
 
 Derivatives fall back to the two-point central difference
 ``(f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i)`` with per-axis step
@@ -41,7 +42,6 @@ so the results are bit-equal to one copy and one call per offset.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -49,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _pool
 from .errors import DimensionMismatch
 from .geometry import Box, Partition
 
@@ -147,30 +148,6 @@ _GROW_TARGET_S = 1e-3
 _GROW_MAX = 4
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _new_slots() -> None:
-    """Set ``_slots``: one helper slot per usable CPU besides the caller's.
-
-    It runs at import and again in a forked child, which has none of its
-    parent's helper threads, and where a lock that a parent thread held at
-    the fork would stay held.
-    """
-    global _slots
-    _slots = threading.BoundedSemaphore(_usable_cpus() - 1)
-
-
-_new_slots()
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_new_slots)
-
-
 def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.ndarray:
     """``fn(rows, start, stop, dest)`` of every slab of the partition ``p``,
     joined in C-order into ``out`` (p.m rows), or into a new float array.
@@ -189,11 +166,11 @@ def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.nd
     more than ``s`` slabs: a cheap integrand then pays a slab's fixed cost
     less often, and a short sum, whose rest one grown slab would hold, keeps
     its slabs and their memory. Then the caller and one ``riemannlab-slab``
-    thread per slot it takes from ``_slots`` take the other slabs in order.
-    Slots are taken without waiting, at most one per slab beyond the
-    caller's next: a sum that finds none free (one nested in a handle, a
-    concurrent caller's, any sum with one usable CPU) takes every slab
-    itself. Every helper is joined before the result returns, and the
+    helper per slot it gets from :func:`riemannlab._pool.start` take the
+    other slabs in order. Slots are taken without waiting, at most one per
+    slab beyond the caller's next: a sum that finds none free (one nested in
+    a handle, a concurrent caller's, any sum with one usable CPU) takes every
+    slab itself. Every helper is joined before the result returns, and the
     exception of the lowest failing slab propagates as raised.
     """
     bounds, rows = p.tag_slabs(_SLAB_ROWS)
@@ -239,24 +216,15 @@ def _rowwise(fn: Callable, p: Partition, out: np.ndarray | None = None) -> np.nd
             except Exception as exc:
                 failures[start] = exc
 
-    def help_drain() -> None:
-        try:
-            drain()
-        finally:
-            _slots.release()
-
-    helpers = []
-    while len(helpers) < len(rest) - 1 and _slots.acquire(blocking=False):
-        helper = threading.Thread(target=help_drain, name="riemannlab-slab")
-        try:
-            helper.start()
-        except RuntimeError:  # no thread can be started now: drain alone
-            _slots.release()
+    joins = []
+    while len(joins) < len(rest) - 1:
+        join = _pool.start(drain, "riemannlab-slab")
+        if join is None:
             break
-        helpers.append(helper)
+        joins.append(join)
     drain()
-    for helper in helpers:
-        helper.join()
+    for join in joins:
+        join()
     if failures:
         raise failures[min(failures)]
     return out

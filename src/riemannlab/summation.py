@@ -19,18 +19,30 @@ ACM TOMS 37(3), 2010; Demmel & Nguyen, IEEE Trans. Computers 64(7), 2015).
 Where one pass over the whole input could not run (a term is inf or nan,
 or the terms are so large that a partial sum may overflow, all zero or
 tiny), ``math.fsum`` takes the terms as they are, in index order.
+
+The residual's plain sum is one chain in index order, independent of the
+passes. Above two blocks it runs on a helper thread from the process's
+one pool (:mod:`riemannlab._pool`) while the caller runs the passes, and
+serves both the residual and the overflow fall-back; a sum that finds no
+slot free runs both in turn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+
+from . import _pool
 
 # Below this many terms math.fsum is faster than another extraction pass.
 _FSUM_FLOOR = 1024
 # Terms per block: 512 KiB, so a pass's temporaries fit in a core's L2.
 _BLOCK = 2**16
+# Terms per chunk of the plain sum: its two temporaries (512 KiB) beside a
+# pass's keep a sum's peak within a few blocks.
+_CHAIN = 2**15
 
 
 def _sigma(top: float, n: int) -> float | None:
@@ -75,26 +87,27 @@ def _extract(y: np.ndarray, top: float, parts: list) -> np.ndarray:
 
 
 def _plain_sum(x: np.ndarray) -> float:
-    """The last entry of ``np.cumsum(x)``, taken a block at a time: the sum
-    so far is the first entry of the next block's cumsum, which adds in
-    index order, so the bits are those of one cumsum. The first block takes
-    no carry, so a lone -0.0 stays -0.0."""
-    plain = float(np.cumsum(x[:_BLOCK])[-1])
-    for start in range(_BLOCK, x.size, _BLOCK):
-        plain = float(np.cumsum(np.concatenate(([plain], x[start : start + _BLOCK])))[-1])
+    """The last entry of ``np.cumsum(x)``, taken ``_CHAIN`` terms at a time:
+    the sum so far is the first entry of the next chunk's cumsum, which adds
+    in index order, so the bits are those of one cumsum. The first chunk
+    takes no carry, so a lone -0.0 stays -0.0. Each cumsum writes a new
+    array: one that overwrites its own input (``out=``) kept a helper thread
+    from running beside the caller's passes."""
+    plain = float(np.cumsum(x[:_CHAIN])[-1])
+    for start in range(_CHAIN, x.size, _CHAIN):
+        plain = float(np.cumsum(np.concatenate(([plain], x[start : start + _CHAIN])))[-1])
     return plain
 
 
-def neumaier_sum(values) -> tuple[float, float]:
-    """``(total, residual)``: ``math.fsum`` of ``values``, and ``total`` minus
-    the plain float sum in ascending order, the last entry of ``np.cumsum``,
-    which adds one term at a time in index order (``np.sum`` adds pairwise).
-    A sum that overflows or meets ``inf - inf`` returns that plain sum,
-    which is not finite, and 0.0.
-    """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        return 0.0, 0.0
+def _quiet_plain_sum(x: np.ndarray) -> float:
+    """``_plain_sum(x)`` with overflow and ``inf - inf`` left unreported."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _plain_sum(x)
+
+
+def _exact_sum(x: np.ndarray) -> float | None:
+    """``math.fsum`` of the nonempty ``x``, or None where it overflows or
+    meets ``inf - inf``."""
     parts, rest = [], x
     if x.size > _FSUM_FLOOR:
         lows, tops = [], []
@@ -111,8 +124,39 @@ def neumaier_sum(values) -> tuple[float, float]:
             if rest.size:
                 rest = _extract(rest, _magnitude(rest), parts)
     try:
-        total = math.fsum(parts + rest.tolist())
+        return math.fsum(parts + rest.tolist())
     except (OverflowError, ValueError):  # the exact sum overflows, or inf - inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _plain_sum(x), 0.0
-    return total, total - _plain_sum(x)
+        return None
+
+
+def neumaier_sum(values) -> tuple[float, float]:
+    """``(total, residual)``: ``math.fsum`` of ``values``, and ``total`` minus
+    the plain float sum in ascending order, the last entry of ``np.cumsum``,
+    which adds one term at a time in index order (``np.sum`` adds pairwise).
+    A sum that overflows or meets ``inf - inf`` returns that plain sum,
+    which is not finite, and 0.0.
+
+    Above two blocks, the plain sum runs on a ``riemannlab-sum`` helper
+    (:func:`riemannlab._pool.start`) while the caller runs the extraction
+    passes and ``math.fsum``, when a slot is free; otherwise the caller runs
+    both in turn. The helper is joined before the sum returns or raises.
+    It reports no overflow: where ``math.fsum`` finds a total but the plain
+    sum is not finite, the caller adds again under its own numpy error
+    state, which may warn or raise. So the bits, the warnings and the
+    errors do not depend on whether a slot was free.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 0:
+        return 0.0, 0.0
+    join = None
+    if x.size > 2 * _BLOCK:
+        join = _pool.start(functools.partial(_quiet_plain_sum, x), "riemannlab-sum")
+    try:
+        total = _exact_sum(x)
+    finally:
+        plain = None if join is None else join()
+    if total is None:
+        return (_quiet_plain_sum(x) if plain is None else plain), 0.0
+    if plain is None or not math.isfinite(plain):
+        plain = _plain_sum(x)
+    return total, total - plain

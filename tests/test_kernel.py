@@ -41,6 +41,7 @@ from riemannlab import (
     TooFewCells,
     VariantSpec,
     VectorField,
+    _pool,
     fields,
     gauss_check,
     green_check,
@@ -54,7 +55,7 @@ from riemannlab import (
     variant_sum,
 )
 from riemannlab.curve_surface import pull_back
-from riemannlab.fields import _SLAB_ROWS, _usable_cpus
+from riemannlab.fields import _SLAB_ROWS
 from riemannlab.geometry import _cell_measures, select_indices
 from riemannlab.quadrature import resolve_variant
 from riemannlab.scenarios import CIRCLE_2D, CUBE_REGION, IDENTITY_3D, ROTATION_2D, SPHERE, TWO_PI
@@ -318,14 +319,14 @@ def _slabs(rows: int, helpers: bool, grow: bool | None = None):
     target = {None: fields._GROW_TARGET_S, True: math.inf, False: 0.0}[grow]
     taken = 0
     try:
-        while not helpers and taken < _usable_cpus() and fields._slots.acquire(blocking=False):
+        while not helpers and taken < _pool.usable_cpus() and _pool._slots.acquire(blocking=False):
             taken += 1
         with mock.patch.object(fields, "_SLAB_ROWS", rows), \
                 mock.patch.object(fields, "_GROW_TARGET_S", target):
             yield
     finally:
         for _ in range(taken):
-            fields._slots.release()
+            _pool._slots.release()
 
 
 @contextlib.contextmanager

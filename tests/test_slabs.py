@@ -29,15 +29,17 @@ from riemannlab import (
     ScalarField,
     VariantSpec,
     VectorField,
+    _pool,
     evaluate_scenario,
     fields,
     gauss_check,
     green_check,
     make_uniform_partition,
     stokes_check,
+    summation,
     variant_sum,
 )
-from riemannlab.fields import _SLAB_ROWS, _rowwise, _usable_cpus
+from riemannlab.fields import _SLAB_ROWS, _rowwise
 from riemannlab.scenarios import (
     BALL_REGION,
     CIRCLE_2D,
@@ -48,6 +50,7 @@ from riemannlab.scenarios import (
     get_scenario,
     scenario_names,
 )
+from riemannlab.summation import _BLOCK, neumaier_sum
 
 from oracles import grid_stack_tags, per_offset_fd_partial
 
@@ -158,7 +161,7 @@ def test_a_full_sum_holds_one_cell_array_at_its_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * p.m + BLOCK_BYTES + _usable_cpus() * SLAB_BYTES
+    assert peak < 8 * p.m + BLOCK_BYTES + _pool.usable_cpus() * SLAB_BYTES
 
 
 BOX_SPECS = {  # the benchmark's six variant/selector mixes
@@ -187,7 +190,7 @@ def test_a_deleted_sum_holds_no_more_than_a_full_sum(mix, counts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * p.m + BLOCK_BYTES + _usable_cpus() * SLAB_BYTES
+    assert peak < 8 * p.m + BLOCK_BYTES + _pool.usable_cpus() * SLAB_BYTES
 
 
 class SlabFailure(Exception):
@@ -213,10 +216,13 @@ def test_lowest_failing_slab_propagates_as_raised(first_bad, monkeypatch):
             _slabbed(fn, p)
 
 
+HELPERS = ("riemannlab-slab", "riemannlab-sum")  # slab and reduction helpers
+
+
 def _helpers_at_work(*fns):
-    """``fns`` wrapped, and a list whose one entry becomes the most
-    ``riemannlab-slab`` threads seen inside any of them at once. A wrapped
-    call sleeps 1 ms, so helpers that run at the same time overlap there."""
+    """``fns`` wrapped, and a list whose one entry becomes the most helper
+    threads (``HELPERS``) seen inside any of them at once. A wrapped call
+    sleeps 1 ms, so helpers that run at the same time overlap there."""
     lock = threading.Lock()
     depth = {}  # helper thread -> how many wrapped calls it is inside
     most = [0]
@@ -224,7 +230,7 @@ def _helpers_at_work(*fns):
     def wrap(fn):
         def counted(q):
             me = threading.current_thread()
-            if me.name != "riemannlab-slab":
+            if me.name not in HELPERS:
                 return fn(q)
             with lock:
                 depth[me] = depth.get(me, 0) + 1
@@ -244,7 +250,7 @@ def _helpers_at_work(*fns):
 
 
 def _helper_starts(monkeypatch):
-    """A list of every ``riemannlab-slab`` thread started, with slab growth
+    """A list of every helper thread (``HELPERS``) started, with slab growth
     off, so that inputs of a few ``_SLAB_ROWS`` keep their slabs and their
     helpers."""
     monkeypatch.setattr(fields, "_GROW_TARGET_S", 0.0)
@@ -252,7 +258,7 @@ def _helper_starts(monkeypatch):
     start = threading.Thread.start
 
     def counted(thread):
-        if thread.name == "riemannlab-slab":
+        if thread.name in HELPERS:
             started.append(thread)
         start(thread)
 
@@ -262,22 +268,25 @@ def _helper_starts(monkeypatch):
 
 def _free_slots() -> int:
     taken = 0
-    while taken < _usable_cpus() and fields._slots.acquire(blocking=False):
+    while taken < _pool.usable_cpus() and _pool._slots.acquire(blocking=False):
         taken += 1
     for _ in range(taken):
-        fields._slots.release()
+        _pool._slots.release()
     return taken
 
 
 def test_concurrent_callers_never_run_more_helpers_than_spare_cpus(monkeypatch):
     started = _helper_starts(monkeypatch)
-    (counted,), most = _helpers_at_work(_scalar)
-    inputs = [_random_tags(3 * _SLAB_ROWS + i, 2, seed=i)
-              for i in range(2 * _usable_cpus() + 2)]  # more callers than cores
+    (counted, plain_sum), most = _helpers_at_work(_scalar, summation._plain_sum)
+    monkeypatch.setattr(summation, "_plain_sum", plain_sum)
+    # more callers than cores, each evaluating and then reducing above two blocks
+    inputs = [_random_tags(2 * _BLOCK + 1 + i, 2, seed=i)
+              for i in range(2 * _pool.usable_cpus() + 2)]
     results = [None] * len(inputs)
 
     def call(i):
-        results[i] = _slabbed(counted, inputs[i])
+        values = _slabbed(counted, inputs[i])
+        results[i] = values, neumaier_sum(values)[0]
 
     callers = [
         threading.Thread(target=call, args=(i,), daemon=True) for i in range(len(inputs))
@@ -292,11 +301,12 @@ def test_concurrent_callers_never_run_more_helpers_than_spare_cpus(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert most[0] <= _usable_cpus() - 1
-    assert started or _usable_cpus() < 2
-    for p, got in zip(inputs, results):
+    assert most[0] <= _pool.usable_cpus() - 1
+    assert {t.name for t in started} == set(HELPERS) or _pool.usable_cpus() < 2
+    for p, (got, total) in zip(inputs, results):
         assert got.tobytes() == _scalar(p.tags).tobytes()
-    assert _free_slots() == _usable_cpus() - 1
+        assert total == math.fsum(got.tolist())
+    assert _free_slots() == _pool.usable_cpus() - 1
 
 
 def test_a_handle_that_sums_in_a_helper_thread_returns(monkeypatch):
@@ -309,7 +319,7 @@ def test_a_handle_that_sums_in_a_helper_thread_returns(monkeypatch):
     (inner_fn, outer_fn), most = _helpers_at_work(lambda t: np.cos(t[..., 0]), handle)
     inner_f = ScalarField(1, inner_fn)
     # More outer slabs than spare CPUs, so every helper nests.
-    outer = make_uniform_partition(Box(((0.0, 1.0),)), (_usable_cpus() + 2) * _SLAB_ROWS)
+    outer = make_uniform_partition(Box(((0.0, 1.0),)), (_pool.usable_cpus() + 2) * _SLAB_ROWS)
     result = []
     runner = threading.Thread(
         target=lambda: result.append(variant_sum(ScalarField(1, outer_fn), outer)),
@@ -318,8 +328,8 @@ def test_a_handle_that_sums_in_a_helper_thread_returns(monkeypatch):
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive(), "nested slab evaluation deadlocked"
-    assert most[0] <= _usable_cpus() - 1
-    assert started or _usable_cpus() < 2
+    assert most[0] <= _pool.usable_cpus() - 1
+    assert started or _pool.usable_cpus() < 2
     inner = variant_sum(inner_f, inner_p).value
     expected = math.fsum((outer.tags[:, 0] * inner * outer.measures).tolist())
     assert result[0].value == expected
@@ -328,19 +338,47 @@ def test_a_handle_that_sums_in_a_helper_thread_returns(monkeypatch):
 def test_no_helper_thread_outlives_its_sum(monkeypatch):
     started = _helper_starts(monkeypatch)
     f = ScalarField(2, _scalar)
-    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
+    # 17 slabs, and terms above two blocks: slab and reduction helpers
+    p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), (512, 257))
     value = variant_sum(f, p).value
-    assert started or _usable_cpus() < 2
-    assert not [t for t in threading.enumerate() if t.name.startswith("riemannlab-slab")]
-    assert _free_slots() == _usable_cpus() - 1
+    assert {t.name for t in started} == set(HELPERS) or _pool.usable_cpus() < 2
+    assert not [t for t in threading.enumerate() if t.name in HELPERS]
+    assert _free_slots() == _pool.usable_cpus() - 1
 
     def refuse(thread):
         raise RuntimeError("can't start new thread")
 
-    # A helper that cannot start gives its slot back, and the caller drains alone.
+    # A helper that cannot start gives its slot back, and the caller drains
+    # and reduces alone.
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert variant_sum(f, p).value == value
-    assert _free_slots() == _usable_cpus() - 1
+    assert _free_slots() == _pool.usable_cpus() - 1
+
+
+@pytest.mark.parametrize("rows", [_SLAB_ROWS, 1000])
+@pytest.mark.parametrize("helpers", [True, False], ids=["slots-free", "slots-taken"])
+def test_helpers_divide_under_the_callers_numpy_error_state(helpers, rows, monkeypatch):
+    """numpy 2 keeps its error state in a context variable, which a new
+    thread does not inherit. A zero divisor in a late slab must raise under
+    ``np.errstate(divide="raise")`` whichever thread evaluates that slab."""
+    started = _helper_starts(monkeypatch)
+    monkeypatch.setattr(fields, "_SLAB_ROWS", rows)
+    if not helpers:
+        monkeypatch.setattr(_pool, "_slots", threading.BoundedSemaphore(0))
+    p = make_uniform_partition(Box(((0.0, 1.0),)), 200_000, "corner")
+    c = float(p.tags[150_000, 0])
+    states = set()
+
+    def f(t):
+        states.add(np.geterr()["divide"])
+        time.sleep(1e-4)  # so that a helper takes slabs before the caller meets c
+        return 1.0 / (t[..., 0] - c)
+
+    for _ in range(5):
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError, match="divide"):
+            variant_sum(ScalarField(1, f), p)
+    assert states == {"raise"}
+    assert bool(started) == (helpers and _pool.usable_cpus() > 1)
 
 
 def _send_child_sum(conn, f, p, started):
@@ -358,9 +396,9 @@ def test_a_forked_child_sums_the_same_with_every_slot_free(monkeypatch):
     f = ScalarField(2, _scalar)
     p = make_uniform_partition(Box(((0.0, 1.0), (0.0, 2.0))), 256)  # 8 slabs
     value = variant_sum(f, p).value.hex()
-    held = _usable_cpus() - 1  # every slot is taken while the process forks
+    held = _pool.usable_cpus() - 1  # every slot is taken while the process forks
     for _ in range(held):
-        assert fields._slots.acquire(blocking=False)
+        assert _pool._slots.acquire(blocking=False)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     try:
@@ -368,7 +406,7 @@ def test_a_forked_child_sums_the_same_with_every_slot_free(monkeypatch):
         child.start()
     finally:
         for _ in range(held):
-            fields._slots.release()
+            _pool._slots.release()
     send.close()
     try:
         assert receive.poll(60), "the forked child sent nothing within 60 s"
@@ -378,9 +416,9 @@ def test_a_forked_child_sums_the_same_with_every_slot_free(monkeypatch):
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
-    assert child_slots == _usable_cpus() - 1, "the child kept the parent's taken slots"
+    assert child_slots == _pool.usable_cpus() - 1, "the child kept the parent's taken slots"
     assert child_value == value
-    assert child_helpers or _usable_cpus() < 2
+    assert child_helpers or _pool.usable_cpus() < 2
 
 
 # --- the theorem checks at the benchmark's resolutions ---------------------------

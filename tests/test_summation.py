@@ -1,5 +1,8 @@
 import math
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from hypothesis.extra.numpy import arrays
 from riemannlab import (
     NonFiniteSum,
     SumEstimate,
+    _pool,
     get_scenario,
     make_uniform_partition,
+    summation,
 )
 from riemannlab.summation import _BLOCK, _FSUM_FLOOR, neumaier_sum
 
@@ -79,6 +84,46 @@ def sinprod_terms(m_axis: int = 1024) -> np.ndarray:
     return np.asarray(sc.field(p.tags), dtype=float) * p.measures
 
 
+PINNED = ["wide_range", "cancellation", "near_overflow", "subnormal"]
+
+
+def pinned_terms(name: str, n: int = 50_000) -> np.ndarray:
+    """A pinned hard case of ``n`` terms, or ``2 * n`` for the pairs."""
+    rng = np.random.default_rng(8)
+    if name == "wide_range":
+        return rng.standard_normal(n) * np.exp(rng.uniform(-200, 200, n))
+    if name == "cancellation":
+        return np.concatenate([np.tile([1e10, -1e10], n // 2), np.full(n, 1e-5)])
+    if name == "near_overflow":  # sigma would overflow, but fsum finds a finite sum
+        return np.ravel([[v, -v * (1 + 2.0**-52)] for v in 8e307 * (1 + rng.random(n))])
+    return rng.standard_normal(n) * 5e-321  # subnormal
+
+
+@pytest.fixture(params=["slot-free", "slots-taken"])
+def slots(request, monkeypatch):
+    """Sums with a helper slot free, or with every slot taken; gives the
+    ``riemannlab-sum`` helpers started, and whether one may start."""
+    if request.param == "slots-taken":
+        monkeypatch.setattr(_pool, "_slots", threading.BoundedSemaphore(0))
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        if thread.name == "riemannlab-sum":
+            started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started, request.param == "slot-free" and _pool.usable_cpus() > 1
+
+
+def assert_helper_ran_if_free(slots, *sums):
+    """Each sum above two blocks took a helper exactly when a slot was free."""
+    started, free = slots
+    assert len(started) == free * sum(x.size > 2 * _BLOCK for x in sums)
+    assert not [t for t in started if t.is_alive()]
+
+
 class TestExtraction:
     """Above ``_FSUM_FLOOR`` terms the sum is extracted in numpy passes; its
     bits must still be those of ``math.fsum`` over the terms."""
@@ -117,25 +162,9 @@ class TestExtraction:
     def test_box_terms_sum_to_fsum(self):
         self.assert_is_fsum(sinprod_terms())
 
-    @pytest.mark.parametrize(
-        "name",
-        ["wide_range", "cancellation", "near_overflow", "subnormal", "floor_edges"],
-    )
+    @pytest.mark.parametrize("name", PINNED + ["floor_edges"])
     def test_pinned_cases_sum_to_fsum(self, name):
-        rng = np.random.default_rng(8)
-        n = 50_000
-        x = {
-            "wide_range": rng.standard_normal(n) * np.exp(rng.uniform(-200, 200, n)),
-            "cancellation": np.concatenate(
-                [np.tile([1e10, -1e10], n // 2), np.full(n, 1e-5)]
-            ),
-            # sigma would overflow, but fsum finds a finite sum
-            "near_overflow": np.ravel(
-                [[v, -v * (1 + 2.0**-52)] for v in 8e307 * (1 + rng.random(n))]
-            ),
-            "subnormal": rng.standard_normal(n) * 5e-321,
-            "floor_edges": np.full(_FSUM_FLOOR + 1, 0.1),
-        }[name]
+        x = np.full(_FSUM_FLOOR + 1, 0.1) if name == "floor_edges" else pinned_terms(name)
         self.assert_is_fsum(x)
 
     def test_negative_zeros_keep_fsums_sign(self):
@@ -197,6 +226,43 @@ def _near_overflow_after_cancelling() -> np.ndarray:
     return x
 
 
+def _with(x: np.ndarray, index: int, value: float) -> np.ndarray:
+    x[index] = value
+    return x
+
+
+def _random_terms(n: int) -> np.ndarray:
+    return np.random.default_rng(n).standard_normal(n)
+
+
+# name -> a maker of hard cases at the block edges; those above two blocks
+# run their plain sum on a helper when a slot is free.
+PINNED_BLOCKS = {
+    "cancelled-overflow": _near_overflow_after_cancelling,
+    "cancelled-overflow-and-one": lambda: np.append(_near_overflow_after_cancelling(), 1.0),
+    # every block extracts; the sum overflows
+    "overflow": lambda: np.full(2 * _BLOCK + 1025, 2.0**1005),
+    "negative-zeros": lambda: np.full(3 * _BLOCK, -0.0),
+    "negative-zeros-over-two-blocks": lambda: np.full(2 * _BLOCK + 1, -0.0),
+    "trailing-negative-zeros": lambda: np.concatenate([[1.0, -1.0], np.full(2 * _BLOCK, -0.0)]),
+    "exact-zero": lambda: np.concatenate([np.full(_BLOCK, -0.0), [1.0, -1.0]]),
+    "subnormal-block": lambda: np.concatenate([np.full(_BLOCK, 5e-324), np.full(_BLOCK, 1.0)]),
+    "two-blocks": lambda: _random_terms(2 * _BLOCK),
+    "two-blocks-and-one": lambda: _random_terms(2 * _BLOCK + 1),
+    "sinprod": sinprod_terms,
+    **{
+        f"{bad}-{half}-half": (
+            lambda bad=bad, at=at: _with(_random_terms(2 * _BLOCK + 5), at, float(bad))
+        )
+        for bad in ("inf", "-inf", "nan")
+        for half, at in (("first", 3), ("second", -3))
+    },
+    "inf-minus-inf": lambda: _with(_with(_random_terms(2 * _BLOCK + 5), 3, math.inf), -3, -math.inf),
+    **{f"{name}-over-two-blocks": (lambda name=name: pinned_terms(name, 2 * _BLOCK + 1))
+       for name in PINNED},
+}
+
+
 class TestBlocks:
     """The passes run per block of ``_BLOCK`` terms and once more over the
     blocks' remainders, and the plain sum carries from block to block: total
@@ -225,20 +291,12 @@ class TestBlocks:
             got, want = neumaier_sum(x), whole_array_neumaier_sum(x)
         assert _bits(got) == _bits(want)
 
-    @pytest.mark.parametrize(
-        "x",
-        [
-            _near_overflow_after_cancelling(),
-            np.full(2 * _BLOCK + 1025, 2.0**1005),  # every block extracts; the sum overflows
-            np.full(3 * _BLOCK, -0.0),
-            np.concatenate([np.full(_BLOCK, -0.0), [1.0, -1.0]]),  # an exact zero
-            np.concatenate([np.full(_BLOCK, 5e-324), np.full(_BLOCK, 1.0)]),
-        ],
-        ids=["cancelled-overflow", "overflow", "negative-zeros", "exact-zero", "subnormal-block"],
-    )
-    def test_pinned_blocks_keep_the_bits_of_one_whole_array_pass(self, x):
+    @pytest.mark.parametrize("name", sorted(PINNED_BLOCKS))
+    def test_pinned_blocks_keep_the_bits_of_one_whole_array_pass(self, name, slots):
+        x = PINNED_BLOCKS[name]()
         with np.errstate(over="ignore", invalid="ignore"):
             assert _bits(neumaier_sum(x)) == _bits(whole_array_neumaier_sum(x))
+        assert_helper_ran_if_free(slots, x)
 
 
 class TestNegativeZeroFill:
@@ -329,7 +387,86 @@ class TestAscendingSum:
         [(-0.0, -0.0), (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan), (1e304, 1e308)],
         ids=["-0.0", "inf", "-inf", "nan", "overflow"],
     )
-    def test_special_values_in_a_long_sum_keep_the_index_order_sum(self, before, special):
+    def test_special_values_in_a_long_sum_keep_the_index_order_sum(self, before, special, slots):
         x = np.full(2 * 2**16 + 3, before)
         x[2**16] = special
         self.assert_residual_is_over_index_order_sum(x)
+        assert_helper_ran_if_free(slots, x)
+
+
+class Boom(Exception):
+    pass
+
+
+def free_slots() -> int:
+    taken = 0
+    while taken < _pool.usable_cpus() and _pool._slots.acquire(blocking=False):
+        taken += 1
+    for _ in range(taken):
+        _pool._slots.release()
+    return taken
+
+
+class TestPlainSumHelper:
+    """Above two blocks the plain sum runs on a ``riemannlab-sum`` helper when
+    a slot is free. The helper is joined before the sum returns or raises,
+    its slot comes back, and it reports overflow as the caller's numpy error
+    state says."""
+
+    def test_a_failing_plain_sum_reaches_the_caller_as_raised(self, monkeypatch):
+        raised = []
+
+        def fail(x):
+            raised.append((threading.current_thread().name, Boom()))
+            raise raised[-1][1]
+
+        monkeypatch.setattr(summation, "_plain_sum", fail)
+        with pytest.raises(Boom) as info:
+            neumaier_sum(_random_terms(2 * _BLOCK + 1))
+        (thread, exc), = raised
+        assert info.value is exc
+        assert thread == ("riemannlab-sum" if _pool.usable_cpus() > 1 else "MainThread")
+        assert free_slots() == _pool.usable_cpus() - 1
+
+    def test_a_failing_extraction_still_joins_the_helper(self, monkeypatch):
+        finished = []
+        plain_sum = summation._plain_sum
+
+        def slow(x):  # still running when the extraction fails
+            time.sleep(0.05)
+            finished.append(plain_sum(x))
+            return finished[-1]
+
+        def fail(*args):
+            raise Boom
+
+        monkeypatch.setattr(summation, "_plain_sum", slow)
+        monkeypatch.setattr(summation, "_extract", fail)
+        with pytest.raises(Boom):
+            neumaier_sum(_random_terms(2 * _BLOCK + 1))
+        assert len(finished) == (_pool.usable_cpus() > 1)
+        assert not [t for t in threading.enumerate() if t.name == "riemannlab-sum"]
+        assert free_slots() == _pool.usable_cpus() - 1
+
+    @pytest.mark.parametrize("state", ["raise", "warn", "ignore"])
+    def test_overflow_reports_under_the_callers_error_state(self, state, slots):
+        """A plain sum that overflows beside a finite total reports as the
+        caller's state says; a sum whose exact value overflows returns its
+        plain sum without a report, as it always has."""
+        overflowing = np.full(2 * _BLOCK + 1, 1e308)
+        # Each t rounds the plain sum up a unit in the last place: past the
+        # largest float it overflows, while the exact sum rounds to that float.
+        top, t = np.finfo(float).max, math.ldexp(1 + 2**-52, 970)
+        x = np.zeros(2 * _BLOCK + 1)
+        x[:3] = top - math.ldexp(1.0, 971), t, t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over=state):
+                assert neumaier_sum(overflowing) == (math.inf, 0.0)
+                if state == "ignore":
+                    assert neumaier_sum(x) == (top, -math.inf)
+                else:
+                    expected = FloatingPointError if state == "raise" else RuntimeWarning
+                    with pytest.raises(expected, match="overflow"):
+                        neumaier_sum(x)
+        assert_helper_ran_if_free(slots, overflowing, x)
