@@ -8,7 +8,6 @@ Green's, Gauss's, and Stokes' theorems with a convergence-study harness.
 from .errors import (
     CountOverflow,
     DegenerateBox,
-    DegenerateNormal,
     DimensionMismatch,
     EqualPartitionRequired,
     InvalidParameter,

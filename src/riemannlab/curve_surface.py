@@ -33,9 +33,10 @@ def pull_back(field, piece: Path | ParametricSurface, partition: Partition):
     """Row-wise integrand of ``field`` on ``piece`` at a slab of parameter tags.
 
     The tangent is x' on a path and N on a surface: a vector field gives
-    F(x) . tangent, a scalar one f(x) ||tangent|| (and on a surface the ||N||
-    column ``degenerate`` reads). No widths are applied. Refuses a partition
-    not covering :func:`parameter_box` and a field dim that is not the codomain.
+    F(x) . tangent, a scalar one f(x) ||tangent||, one column either way, so
+    a tag where the tangent vanishes gives a zero term. No widths are
+    applied. Refuses a partition not covering :func:`parameter_box` and a
+    field dim that is not the codomain.
     """
     path = isinstance(piece, Path)
     kind = "path" if path else "surface"
@@ -57,8 +58,7 @@ def pull_back(field, piece: Path | ParametricSurface, partition: Partition):
         if vector:
             return np.sum(np.asarray(field(piece.pos(x)), float) * tangent(x), axis=-1)
         norms = np.sqrt(np.sum(tangent(x) ** 2, axis=-1))
-        values = np.asarray(field(piece.pos(x)), float) * norms
-        return values if path else np.stack([values, norms], axis=-1)
+        return np.asarray(field(piece.pos(x)), float) * norms
 
     return integrand
 
@@ -93,11 +93,9 @@ def surface_sum(
     """Surface sum over ``partition`` of the surface's parameter domain.
 
     Scalar or vector by field type; ``plan`` and ``perturbation`` are as
-    for :func:`line_sum`. A scalar surface sum raises DegenerateNormal when
-    it keeps a cell whose tag has a vanishing normal; a vector one does not
-    check.
+    for :func:`line_sum`. A tag where the normal vanishes, such as a
+    sphere's pole, gives a zero term, f ||N|| or F . N alike.
     """
     return pieces_sum(
-        [pull_back(field, surface, partition)], [partition], spec, plan, perturbation,
-        degenerate=not isinstance(field, VectorField),
+        [pull_back(field, surface, partition)], [partition], spec, plan, perturbation
     )

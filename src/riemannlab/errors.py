@@ -49,14 +49,6 @@ class DimensionMismatch(RiemannLabError):
     """Field/partition/path dimensions are inconsistent."""
 
 
-class DegenerateNormal(RiemannLabError):
-    """The surface normal vanishes at a tag used by a scalar surface sum.
-
-    A vector surface sum (a flux, or a Gauss boundary) does not check it:
-    F . N is 0 there, and the term is summed as such.
-    """
-
-
 class OrientationCheckFailed(RiemannLabError):
     """The declared boundary orientation fails the probe-field sign check."""
 

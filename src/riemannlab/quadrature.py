@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateNormal, DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter
 from .errors import NonFiniteSum, RiemannLabError, UnboundPlan
 from .fields import ParametricRegion, ScalarField, _rowwise
 from .geometry import (
@@ -157,7 +157,6 @@ def pieces_sum(
     spec: VariantSpec = FULL,
     plan: DeletionPlan | None = None,
     perturbation: PerturbedPartition | None = None,
-    degenerate: bool = False,
 ) -> SumEstimate:
     """Sum integrand x cell measure over tagged pieces, in any variant.
 
@@ -165,9 +164,7 @@ def pieces_sum(
     evaluated once per tag (:func:`fields._rowwise`); the pieces form one
     index space. Each slab's terms are weighed where it is evaluated, by its
     cell measures (``geometry._cell_measures``, or one float for equal base
-    cells), into its rows of the sum's one m-term array. With ``degenerate``
-    the integrand returns the surface normal's norm as a second column, and
-    keeping a cell whose norm is 0 raises DegenerateNormal. A bound ``plan``
+    cells), into its rows of the sum's one m-term array. A bound ``plan``
     and a ``perturbation`` are used as given, in place of what ``spec`` would
     resolve; a perturbation must be built from the one partition it weights.
     A plan's ``resolved``, a read-only, ascending int64 array normalised at
@@ -198,7 +195,6 @@ def pieces_sum(
     ranked = plan is None and spec.deletes and isinstance(spec.selector, LargestTerm)
     k = schedule_count(spec.schedule, max(m, 2)) if ranked else 0
     candidates = {}  # global slab start -> (indices, base terms) of its K largest
-    zero_norms = {}  # global slab start -> indices of its tags whose normal vanishes
 
     def slab_terms(i):
         """Piece i's terms of a slab, integrand x base or perturbed measure,
@@ -209,11 +205,6 @@ def pieces_sum(
 
         def terms(rows, start, stop, dest):
             values = np.asarray(integrand(rows), float)
-            if degenerate:  # columns: the integrand and the surface normal's norm
-                zero = np.flatnonzero(values[:, 1] == 0.0)
-                if zero.size:
-                    zero_norms[offset + start] = offset + start + zero
-                values = values[:, 0]
             if weights is p or ranked:
                 base = cell
                 if base is None:
@@ -247,12 +238,6 @@ def pieces_sum(
         raise unweighted
     if plan is not None:
         terms[_deleted_indices(plan, m)] = -0.0  # x + (-0.0) == x for every x, ±0 included
-    if zero_norms:
-        zero = np.concatenate(list(zero_norms.values()))
-        if plan is not None:
-            zero = zero[~np.isin(zero, plan.resolved)]
-        if zero.size:
-            raise DegenerateNormal("surface normal vanishes at a used tag")
     value, resid = neumaier_sum(terms)
     deleted = 0 if plan is None else len(plan.resolved)
     symdiff = 0.0 if pps is None else sum(pp.symdiff_total for pp in pps)

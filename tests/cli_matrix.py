@@ -83,7 +83,6 @@ REFUSED = [
     ["integrate", "box.sinprod.2d", "--m", "0"],
     ["converge", "box.sinprod.2d", "--m-list", "4,8"],
     ["converge", "box.sinprod.2d", "--m-list", "a,b,c"],
-    ["integrate", "surface.sphere.area", "--m", "8", "--tags", "corner"],
 ]
 
 
@@ -97,6 +96,8 @@ def matrix():
                    "--selector", selector, "--tags", rule, "--seed", "3"]
     yield ["integrate", "box.sinprod.2d", "--m", "6", "--print-config"]
     yield ["integrate", "surface.sphere.area", "--m", "6", "--csv", CSV]
+    # corner tags on the sphere's poles, where the normal vanishes
+    yield ["integrate", "surface.sphere.area", "--m", "8", "--tags", "corner"]
     yield ["verify", "green.disk.rotation", "--m", "8", "--csv", CSV]
     for argv in CONVERGE:
         yield argv + ["--csv", CSV]

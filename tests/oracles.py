@@ -422,13 +422,12 @@ def line_dots(F: VectorField, path: Path, partition):
 
 
 def scalar_surface_integrand(f: ScalarField, surface: ParametricSurface, partition):
-    """Row-wise columns f(X(xi_k)) ||N(xi_k)|| and ||N(xi_k)|| of a slab of tags."""
+    """Row-wise f(X(xi_k)) ||N(xi_k)|| of a slab of tags (no widths applied)."""
     _check_piece(surface, partition, f.dim)
 
     def integrand(xi):
         norms = np.sqrt(np.sum(surface.normal(xi) ** 2, axis=-1))
-        values = np.asarray(f(surface.pos(xi)), dtype=float)
-        return np.stack([values * norms, norms], axis=-1)
+        return np.asarray(f(surface.pos(xi)), dtype=float) * norms
 
     return integrand
 

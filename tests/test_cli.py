@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from riemannlab import get_scenario
+
 RUN = [sys.executable, "-m", "riemannlab"]
 
 
@@ -228,23 +230,34 @@ def test_byte_identical_reruns(args, tmp_path):
 
 
 class TestVanishingNormal:
-    """Today's contract at the sphere's poles, where corner tags sit on a
-    vanishing normal: only a scalar surface sum that keeps such a tag refuses.
-    A change that makes scalar and vector surface sums agree edits this test."""
+    """One rule at the sphere's poles, where corner tags sit on a vanishing
+    normal: a kept pole tag gives a zero term, f ||N|| and F . N alike. So a
+    scalar surface sum that keeps the pole tags prints what deleting them
+    prints, and so does the flux through them."""
 
     AREA = ("integrate", "surface.sphere.area", "--m", "8", "--tags", "corner")
     VALUE = "value=12.404462994313903 "
+    RESIDUAL = "compensation_residual=-1.7763568394002505e-15"
 
-    def test_scalar_sum_keeping_a_pole_tag_is_refused(self):
+    def test_scalar_sum_keeping_the_pole_tags_runs(self):
         res = invoke(*self.AREA)
-        assert res.returncode == 2
-        assert "surface normal vanishes at a used tag" in res.stderr
-        assert "Traceback" not in res.stderr
+        assert res.returncode == 0, res.stderr
+        assert self.VALUE in res.stdout
+        assert self.RESIDUAL in res.stdout
 
     def test_scalar_sum_deleting_the_pole_tags_runs(self):
         res = invoke(*self.AREA, "--variant", "deleted", "--k", "8", "--selector", "prefix")
         assert res.returncode == 0, res.stderr
         assert self.VALUE in res.stdout
+        assert self.RESIDUAL in res.stdout
+
+    def test_corner_tagged_area_meets_its_tolerance_at_the_default_m(self):
+        scenario = get_scenario("surface.sphere.area")
+        res = invoke("integrate", scenario.name, "--tags", "corner")
+        assert res.returncode == 0, res.stderr
+        assert f"m={scenario.default_m ** 2} " in res.stdout
+        error = float(res.stdout.split("abs_error=")[1].split()[0])
+        assert error <= scenario.tolerance_for("full")
 
     def test_flux_through_the_poles_is_not_checked(self):
         res = invoke("integrate", "surface.sphere.flux", "--m", "8", "--tags", "corner")

@@ -16,7 +16,6 @@ from oracles import (
 )
 from riemannlab import (
     Box,
-    DegenerateNormal,
     DeletionPlan,
     DimensionMismatch,
     FixedK,
@@ -149,14 +148,15 @@ class TestScalarSurfaceSum:
         assert abs(part.value - full.value) <= 5 * max(abs(t) for t in terms) * (1 + 1e-12)
 
     def test_degenerate_normal_at_used_tag(self):
-        # corner tags include u = 0 where the disk patch normal (0,0,u) vanishes
+        # corner tags include u = 0 where the disk patch normal (0,0,u) vanishes:
+        # keeping those tags adds zero terms, so it has the bits of deleting them
         p = make_uniform_partition(DISK_PATCH.domain, (4, 4), tag_rule="corner")
-        with pytest.raises(DegenerateNormal):
-            surface_sum(UNIT_DENSITY_3D, DISK_PATCH, p)
-        # deleting exactly the degenerate tags makes the rest computable
+        kept = surface_sum(UNIT_DENSITY_3D, DISK_PATCH, p)
         plan = DeletionPlan(FixedK(4), Prefix(), resolved=(0, 1, 2, 3))
-        est = surface_sum(UNIT_DENSITY_3D, DISK_PATCH, p, plan=plan)
-        assert est.deleted_count == 4
+        deleted = surface_sum(UNIT_DENSITY_3D, DISK_PATCH, p, plan=plan)
+        assert deleted.deleted_count == 4
+        assert kept.value.hex() == deleted.value.hex()
+        assert kept.compensation_residual.hex() == deleted.compensation_residual.hex()
 
 
 class TestVectorSurfaceSum:
